@@ -66,11 +66,11 @@ cargo run --offline --release -p sdd-bench --bin volume_bench -- \
     --circuit s298 --devices 300 --jobs 4 --out BENCH_volume.json
 cargo run --offline --release -p sdd-bench --bin volume_bench -- --check BENCH_volume.json
 
-step "serve bench (pipelined DIAG throughput, threaded vs reactor, JSON)"
-# BENCH_serve.json tracks the transport trajectory: req/s and p50/p99 per
-# backend at three concurrency levels. The gate checks shape and sanity
-# (both backends where supported, positive throughput, p99 >= p50) — which
-# backend wins is host-dependent and recorded, not gated.
+step "serve bench (pipelined DIAG throughput at 1/4/16 clients, JSON)"
+# BENCH_serve.json tracks the transport trajectory: req/s and p50/p99 at
+# three concurrency levels. The gate checks shape and sanity (every level
+# present, positive throughput, p99 >= p50); throughput itself is
+# host-dependent and recorded, not gated.
 cargo run --offline --release -p sdd-bench --bin serve_bench -- --out BENCH_serve.json
 cargo run --offline --release -p sdd-bench --bin serve_bench -- --check BENCH_serve.json
 

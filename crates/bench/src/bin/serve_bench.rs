@@ -1,7 +1,6 @@
 //! Serve *transport* benchmark: drives a live `sdd serve` instance over
 //! loopback with pipelined `DIAG` traffic and reports request throughput
-//! and latency percentiles for each transport backend at several client
-//! concurrency levels.
+//! and latency percentiles at several client concurrency levels.
 //!
 //! ```text
 //! cargo run -p sdd-bench --release --bin serve_bench -- [options]
@@ -21,22 +20,16 @@
 //!
 //! ```json
 //! {"circuit":"c17","requests_per_client":500,"window":8,"workers":2,
-//!  "available_parallelism":1,"reactor_supported":true,
+//!  "available_parallelism":2,
 //!  "runs":[
-//!    {"backend":"threaded","concurrency":1,"reqs_per_s":52310.1,
-//!     "p50_us":120,"p99_us":410},
+//!    {"concurrency":1,"reqs_per_s":52310.1,"p50_us":120,"p99_us":410},
 //!    ...],
-//!  "threaded_max_reqs_per_s":61022.4,"reactor_max_reqs_per_s":74891.0,
-//!  "reactor_faster":true}
+//!  "max_reqs_per_s":74891.0}
 //! ```
 //!
-//! `reactor_faster` is a recorded observation, not a gated claim: on a
-//! single-core host (`available_parallelism` is in the report) the
-//! threaded backend's dedicated reader threads can legitimately win, and
-//! an honest `false` beats a flattering benchmark. The `--check` gate
-//! verifies shape and sanity — both backends present (reactor only where
-//! supported), all three concurrency levels, positive throughput, and
-//! `p99 >= p50` — never which backend won.
+//! Throughput is host-dependent (`available_parallelism` is recorded next
+//! to it), so the `--check` gate verifies shape and sanity only: all three
+//! concurrency levels present, positive throughput, and `p99 >= p50`.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
@@ -44,16 +37,15 @@ use std::net::TcpStream;
 use std::time::Instant;
 
 use same_different::dict::Procedure1Options;
-use same_different::serve::{serve, Client, ServeBackend, ServeConfig};
+use same_different::serve::{serve, Client, ServeConfig};
 use same_different::store::{save, StoredDictionary};
 use same_different::Experiment;
 
-/// Client fan-out levels every backend is measured at.
+/// Client fan-out levels the server is measured at.
 const CONCURRENCY: &[usize] = &[1, 4, 16];
 
-/// One measured run: a backend at one concurrency level.
+/// One measured run at one concurrency level.
 struct Run {
-    backend: &'static str,
     concurrency: usize,
     reqs_per_s: f64,
     p50_us: u64,
@@ -120,47 +112,20 @@ fn main() {
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     let (dict_path, observation) = fixture(&dir);
 
-    let reactor_supported = same_different::reactor::supported();
-    let mut backends = vec![("threaded", ServeBackend::Threaded)];
-    if reactor_supported {
-        backends.push(("reactor", ServeBackend::Reactor));
-    } else {
-        eprintln!("serve_bench: epoll unsupported here; benchmarking the threaded backend only");
-    }
-
     let mut runs = Vec::new();
-    for (name, backend) in backends {
-        for &concurrency in CONCURRENCY {
-            let run = measure(
-                name,
-                backend,
-                concurrency,
-                requests,
-                window,
-                &dict_path,
-                &observation,
-            );
-            eprintln!(
-                "serve_bench: {name} c={concurrency}: {:.0} req/s p50={}us p99={}us",
-                run.reqs_per_s, run.p50_us, run.p99_us
-            );
-            runs.push(run);
-        }
+    for &concurrency in CONCURRENCY {
+        let run = measure(concurrency, requests, window, &dict_path, &observation);
+        eprintln!(
+            "serve_bench: c={concurrency}: {:.0} req/s p50={}us p99={}us",
+            run.reqs_per_s, run.p50_us, run.p99_us
+        );
+        runs.push(run);
     }
-
-    let best = |backend: &str| -> f64 {
-        runs.iter()
-            .filter(|r| r.backend == backend)
-            .map(|r| r.reqs_per_s)
-            .fold(0.0, f64::max)
-    };
-    let threaded_max = best("threaded");
-    let reactor_max = best("reactor");
+    let max = runs.iter().map(|r| r.reqs_per_s).fold(0.0, f64::max);
 
     let mut body = format!(
         "{{\"circuit\":\"c17\",\"requests_per_client\":{requests},\"window\":{window},\
-         \"workers\":2,\"available_parallelism\":{},\"reactor_supported\":{reactor_supported},\
-         \"runs\":[",
+         \"workers\":2,\"available_parallelism\":{},\"runs\":[",
         sdd_sim::available_jobs(),
     );
     for (index, run) in runs.iter().enumerate() {
@@ -168,17 +133,11 @@ fn main() {
             body.push(',');
         }
         body.push_str(&format!(
-            "{{\"backend\":\"{}\",\"concurrency\":{},\"reqs_per_s\":{:.1},\
-             \"p50_us\":{},\"p99_us\":{}}}",
-            run.backend, run.concurrency, run.reqs_per_s, run.p50_us, run.p99_us
+            "{{\"concurrency\":{},\"reqs_per_s\":{:.1},\"p50_us\":{},\"p99_us\":{}}}",
+            run.concurrency, run.reqs_per_s, run.p50_us, run.p99_us
         ));
     }
-    body.push_str(&format!(
-        "],\"threaded_max_reqs_per_s\":{threaded_max:.1},\
-         \"reactor_max_reqs_per_s\":{reactor_max:.1},\
-         \"reactor_faster\":{}}}",
-        reactor_supported && reactor_max > threaded_max
-    ));
+    body.push_str(&format!("],\"max_reqs_per_s\":{max:.1}}}"));
     std::fs::write(&out, format!("{body}\n")).expect("write report");
     println!("{body}");
     let _ = std::fs::remove_dir_all(&dir);
@@ -216,8 +175,6 @@ fn fixture(dir: &std::path::Path) -> (std::path::PathBuf, String) {
 /// One benchmark run: fresh server, `concurrency` clients, each keeping
 /// `window` pipelined requests in flight until it has `requests` replies.
 fn measure(
-    name: &'static str,
-    backend: ServeBackend,
     concurrency: usize,
     requests: usize,
     window: usize,
@@ -227,7 +184,6 @@ fn measure(
     let handle = serve(&ServeConfig {
         workers: 2,
         max_connections: concurrency + 8,
-        backend,
         ..ServeConfig::default()
     })
     .expect("bind bench server");
@@ -260,7 +216,6 @@ fn measure(
         latencies[index.clamp(1, total) - 1]
     };
     Run {
-        backend: name,
         concurrency,
         reqs_per_s: total as f64 / elapsed.as_secs_f64(),
         p50_us: percentile(0.50),
@@ -309,47 +264,32 @@ fn client_loop(
     latencies
 }
 
-/// Validates a report written by a previous run: both backends present
-/// (reactor only when the report says it is supported), every concurrency
-/// level measured, positive throughput, and `p99 >= p50` per run.
+/// Validates a report written by a previous run: every concurrency level
+/// measured, positive throughput, and `p99 >= p50` per run.
 fn check(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|err| format!("unreadable: {err}"))?;
     let body = text.trim();
     if !(body.starts_with('{') && body.ends_with('}')) {
         return Err("not a JSON object".to_owned());
     }
-    let reactor_supported = match field(body, "reactor_supported") {
-        Some("true") => true,
-        Some("false") => false,
-        other => return Err(format!("bad \"reactor_supported\": {other:?}")),
-    };
-    if field(body, "reactor_faster").is_none() {
-        return Err("missing key \"reactor_faster\"".to_owned());
-    }
-    let mut backends = vec!["threaded"];
-    if reactor_supported {
-        backends.push("reactor");
-    }
-    for backend in backends {
-        for &concurrency in CONCURRENCY {
-            let prefix = format!("{{\"backend\":\"{backend}\",\"concurrency\":{concurrency},");
-            let start = body
-                .find(&prefix)
-                .ok_or_else(|| format!("missing run {backend} c={concurrency}"))?;
-            let run = &body[start..];
-            let run = &run[..run.find('}').map_or(run.len(), |i| i + 1)];
-            let number = |key: &str| -> Result<f64, String> {
-                field(run, key)
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|n| n.is_finite() && *n >= 0.0)
-                    .ok_or_else(|| format!("run {backend} c={concurrency}: bad {key:?}"))
-            };
-            if number("reqs_per_s")? <= 0.0 {
-                return Err(format!("run {backend} c={concurrency}: zero throughput"));
-            }
-            if number("p99_us")? < number("p50_us")? {
-                return Err(format!("run {backend} c={concurrency}: p99 < p50"));
-            }
+    for &concurrency in CONCURRENCY {
+        let prefix = format!("{{\"concurrency\":{concurrency},");
+        let start = body
+            .find(&prefix)
+            .ok_or_else(|| format!("missing run c={concurrency}"))?;
+        let run = &body[start..];
+        let run = &run[..run.find('}').map_or(run.len(), |i| i + 1)];
+        let number = |key: &str| -> Result<f64, String> {
+            field(run, key)
+                .and_then(|v| v.parse::<f64>().ok())
+                .filter(|n| n.is_finite() && *n >= 0.0)
+                .ok_or_else(|| format!("run c={concurrency}: bad {key:?}"))
+        };
+        if number("reqs_per_s")? <= 0.0 {
+            return Err(format!("run c={concurrency}: zero throughput"));
+        }
+        if number("p99_us")? < number("p50_us")? {
+            return Err(format!("run c={concurrency}: p99 < p50"));
         }
     }
     Ok(())

@@ -71,6 +71,7 @@ pub use cluster::{Aggregator, Clusters, ConeCluster, FaultCluster};
 pub use corpus::{Observation, Parsed, Shape, SkipReason};
 pub use engine::{
     quality_name, run, JsonlSink, RecordSink, Verdict, VolumeOptions, VolumeSummary, WireSink,
+    TOP_CANDIDATES,
 };
 pub use source::{error_token, FetchError, PreloadedShards, ShardSource, WholeSource};
 pub use synth::{device_name, synthesize, SynthSpec};

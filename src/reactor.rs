@@ -1,7 +1,6 @@
 //! A thin, dependency-free readiness abstraction over Linux `epoll`.
 //!
-//! The event-driven serve backend ([`crate::serve`] with
-//! [`ServeBackend::Reactor`](crate::serve::ServeBackend)) needs exactly four
+//! The serve transport (`src/serve_reactor.rs`) needs exactly four
 //! primitives: create an interest set, (de)register file descriptors with
 //! read/write interest, block until something is ready or a deadline passes,
 //! and be woken from another thread. This module provides them over raw
@@ -9,10 +8,10 @@
 //! Rust standard library already links — no third-party crates, matching the
 //! workspace's zero-dependency rule.
 //!
-//! On non-Linux targets the same API compiles but [`supported`] returns
-//! `false` and [`Poller::new`] fails with [`std::io::ErrorKind::Unsupported`];
-//! the serve layer then falls back to the portable threaded backend, so the
-//! workspace still builds and serves everywhere.
+//! On non-Linux targets the same API compiles but [`Poller::new`] fails with
+//! [`std::io::ErrorKind::Unsupported`], so the workspace still builds
+//! everywhere while `sdd serve` itself is Linux-only (it reports the typed
+//! error at startup).
 //!
 //! This is the **only** module in the crate allowed to contain `unsafe`
 //! code (the crate root carries `#![deny(unsafe_code)]`); the unsafety is
@@ -36,12 +35,6 @@ pub struct Event {
     pub readable: bool,
     /// A `write` would make progress.
     pub writable: bool,
-}
-
-/// Is the epoll reactor available on this target?
-#[must_use]
-pub const fn supported() -> bool {
-    cfg!(target_os = "linux")
 }
 
 #[cfg(target_os = "linux")]

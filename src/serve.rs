@@ -73,40 +73,30 @@
 //!   [`ServeConfig::write_timeout`] is connection death, never a wedged
 //!   worker.
 //!
-//! # Transport backends
+//! # Transport
 //!
-//! Two interchangeable transports serve the identical protocol, selected by
-//! [`ServeConfig::backend`]:
+//! One event-driven readiness loop (`src/serve_reactor.rs` over the
+//! epoll wrapper in [`crate::reactor`]) owns every socket: accept, read,
+//! write, and the idle/write-stall timers. Complete request lines are
+//! handed to the worker pool over an SPMC queue; workers execute the
+//! CPU-bound diagnosis and push reply bytes to per-connection outbound
+//! buffers the reactor drains on writability. Clients may **pipeline**:
+//! many requests written in one burst are answered in order, byte-identical
+//! to issuing them sequentially. A connection whose outbound buffer passes
+//! the high-water mark stops being read until it drains (write
+//! backpressure), so a slow reader can never balloon server memory.
 //!
-//! * [`ServeBackend::Reactor`] (the default on Linux via
-//!   [`ServeBackend::Auto`]) — one event-driven readiness loop
-//!   ([`crate::reactor`]) owns every socket: accept, read, write, and the
-//!   idle/write-stall timers. Complete request lines are handed to the
-//!   worker pool over an SPMC queue; workers execute the CPU-bound
-//!   diagnosis and push reply bytes to per-connection outbound buffers the
-//!   reactor drains on writability. Clients may **pipeline**: many requests
-//!   written in one burst are answered in order, byte-identical to issuing
-//!   them sequentially. A connection whose outbound buffer passes the
-//!   high-water mark stops being read until it drains (write
-//!   backpressure), so a slow reader can never balloon server memory.
-//! * [`ServeBackend::Threaded`] — the portable fallback: each worker owns
-//!   one connection at a time and blocks on it, polling under
-//!   [`POLL_INTERVAL`] to honor shutdown and idle limits. It serves the
-//!   same byte-for-byte protocol (pipelined bursts included — the kernel
-//!   socket buffer holds them) and runs everywhere.
-//!
-//! `STATS` reports which backend is live (`backend=`) plus the reactor
-//! traffic counters (`accepted=`, `wakeups=`, `backpressure_stalls=`,
-//! `pipelined=`); the threaded backend reports zeros for those so parsers
-//! stay uniform.
+//! Serving is Linux-only: off Linux the epoll wrapper compiles to a stub
+//! and [`serve`] fails with a typed [`SddError::Io`]. `STATS` reports the
+//! transport counters (`accepted=`, `wakeups=`, `backpressure_stalls=`,
+//! `pipelined=`).
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sdd_core::diagnose::{match_signatures_masked_into, MatchQuality, ScoredCandidate};
@@ -115,53 +105,22 @@ use sdd_logic::{BitVec, MaskedBitVec, SddError};
 use sdd_store::{DictBytes, DictionaryKind, MmapMode, SddbReader, ShardedReader, StoredDictionary};
 use sdd_volume::{
     error_token, quality_name, FetchError, ShardSource, VolumeOptions, WholeSource, WireSink,
+    TOP_CANDIDATES,
 };
 
 use crate::shard::{self, ShardObservation};
-
-/// Which transport drives the sockets (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeBackend {
-    /// The epoll reactor where supported ([`crate::reactor::supported`]),
-    /// else the threaded transport. The right choice almost always.
-    #[default]
-    Auto,
-    /// Force the portable blocking worker-pool transport.
-    Threaded,
-    /// Force the epoll reactor; [`serve`] fails with a typed error on
-    /// platforms without it.
-    Reactor,
-}
-
-impl ServeBackend {
-    /// Parses the `--backend` CLI token.
-    ///
-    /// # Errors
-    ///
-    /// [`SddError::Invalid`] for anything but `auto`/`threaded`/`reactor`.
-    pub fn parse(token: &str) -> Result<Self, SddError> {
-        match token.to_ascii_lowercase().as_str() {
-            "auto" => Ok(Self::Auto),
-            "threaded" => Ok(Self::Threaded),
-            "reactor" => Ok(Self::Reactor),
-            other => Err(SddError::invalid(format!(
-                "unknown serve backend {other:?} (expected auto, threaded, or reactor)"
-            ))),
-        }
-    }
-}
 
 /// How the server is bound and provisioned.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Address to bind, e.g. `127.0.0.1:4017` (`:0` picks a free port).
     pub addr: String,
-    /// Worker threads handling connections.
+    /// Worker threads executing the CPU-bound verbs.
     pub workers: usize,
     /// Registry memory cap in bytes; least-recently-used dictionaries are
     /// evicted when loading would exceed it.
     pub memory_cap: usize,
-    /// Connections served concurrently before the acceptor starts shedding
+    /// Connections served concurrently before the reactor starts shedding
     /// newcomers with a one-line `OK BUSY` refusal.
     pub max_connections: usize,
     /// Per-write socket timeout; a reply write that stalls this long is
@@ -169,15 +128,13 @@ pub struct ServeConfig {
     pub write_timeout: Duration,
     /// A connection with no *complete* request line for this long is closed
     /// (`ERR idle timeout ...`) — the slow-loris cutoff that keeps stalled
-    /// clients from pinning pool workers.
+    /// clients from holding connection slots.
     pub idle_timeout: Duration,
     /// Optional wall-clock budget per request. A sharded `DIAG` that runs
     /// out mid-load answers `PARTIAL` from the shards already resident;
     /// remaining `BATCH` items answer `ERR deadline`. `None` means
     /// unbounded.
     pub request_deadline: Option<Duration>,
-    /// Which transport drives the sockets (see the module docs).
-    pub backend: ServeBackend,
     /// How `LOAD` brings dictionary files into memory: mapped zero-copy
     /// images ([`MmapMode::Auto`] maps on Linux, reads elsewhere) or owned
     /// buffers. Mapped binary dictionaries register their validated image
@@ -196,20 +153,10 @@ impl Default for ServeConfig {
             write_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(600),
             request_deadline: None,
-            backend: ServeBackend::Auto,
             mmap: MmapMode::Auto,
         }
     }
 }
-
-/// How many ranked candidates a `DIAG` reply includes in its `top=` field.
-const TOP_CANDIDATES: usize = 5;
-
-/// Read timeout the **threaded** backend uses to re-check the shutdown flag
-/// on idle connections. The reactor backend has no poll tick at all —
-/// shutdown, idle cutoffs, and write stalls are epoll wakeups with computed
-/// deadlines.
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// One loaded dictionary — whole, or a lazily-populated shard set.
 enum Entry {
@@ -746,7 +693,7 @@ struct ShardStat {
     bytes: usize,
 }
 
-/// State shared by the transport (acceptor or reactor) and every worker.
+/// State shared by the reactor and every worker.
 pub(crate) struct Shared {
     registry: Registry,
     pub(crate) shutting_down: AtomicBool,
@@ -756,30 +703,54 @@ pub(crate) struct Shared {
     busy: AtomicU64,
     /// Sharded diagnoses answered with a degraded `PARTIAL` verdict.
     partial: AtomicU64,
-    /// Connections currently admitted (queued or in a worker).
+    /// Connections currently admitted by the reactor.
     pub(crate) active: AtomicUsize,
-    /// Connections accepted by the reactor (threaded reports zero).
+    /// Connections accepted by the reactor.
     pub(crate) accepted: AtomicU64,
-    /// Reactor `epoll_wait` returns (threaded reports zero).
+    /// Reactor `epoll_wait` returns.
     pub(crate) wakeups: AtomicU64,
     /// Transitions into write backpressure — a connection whose outbound
-    /// buffer crossed the high-water mark and stopped being read
-    /// (threaded reports zero).
+    /// buffer crossed the high-water mark and stopped being read.
     pub(crate) backpressure_stalls: AtomicU64,
     /// Requests answered from bytes that were already buffered behind an
-    /// earlier request on the same connection — the pipelining win
-    /// (threaded reports zero).
+    /// earlier request on the same connection — the pipelining win.
     pub(crate) pipelined: AtomicU64,
     addr: SocketAddr,
     /// Size of the worker pool, reported by `STATS`.
     pub(crate) workers: usize,
-    /// Which transport is live, reported by `STATS` as `backend=`.
-    backend: &'static str,
     /// How `LOAD` brings dictionary files into memory, copied out of
     /// [`ServeConfig::mmap`].
     mmap: MmapMode,
     /// Connection and request limits, copied out of [`ServeConfig`].
     pub(crate) limits: Limits,
+}
+
+impl Shared {
+    /// Fresh server state for `config`, bound at `addr`.
+    pub(crate) fn new(config: &ServeConfig, addr: SocketAddr) -> Self {
+        Self {
+            registry: Registry::new(config.memory_cap),
+            shutting_down: AtomicBool::new(false),
+            requests: AtomicU64::new(0),
+            diagnoses: AtomicU64::new(0),
+            busy: AtomicU64::new(0),
+            partial: AtomicU64::new(0),
+            active: AtomicUsize::new(0),
+            accepted: AtomicU64::new(0),
+            wakeups: AtomicU64::new(0),
+            backpressure_stalls: AtomicU64::new(0),
+            pipelined: AtomicU64::new(0),
+            addr,
+            workers: config.workers.max(1),
+            mmap: config.mmap,
+            limits: Limits {
+                max_connections: config.max_connections.max(1),
+                write_timeout: config.write_timeout,
+                idle_timeout: config.idle_timeout,
+                request_deadline: config.request_deadline,
+            },
+        }
+    }
 }
 
 /// The failure-domain knobs every connection handler consults.
@@ -819,7 +790,7 @@ impl RequestClock {
 /// connection, then [`wait`](Self::wait).
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
+    reactor: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -836,140 +807,44 @@ impl ServerHandle {
     }
 
     /// Blocks until the server has fully drained and every thread exited.
-    pub fn wait(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for worker in self.workers.drain(..) {
+    pub fn wait(self) {
+        let _ = self.reactor.join();
+        for worker in self.workers {
             let _ = worker.join();
         }
     }
 }
 
-/// Flags the shutdown and pokes the transport loose from its wait with a
-/// throwaway connection (the threaded acceptor's `accept()` returns; the
-/// reactor's listener turns readable).
+/// Flags the shutdown and pokes the reactor loose from its wait with a
+/// throwaway connection (the listener turns readable).
 pub(crate) fn begin_shutdown(shared: &Shared) {
     if !shared.shutting_down.swap(true, Ordering::SeqCst) {
         let _ = TcpStream::connect(shared.addr);
     }
 }
 
-/// Binds the listener and spawns the transport (reactor or
-/// acceptor-plus-workers, per [`ServeConfig::backend`]).
+/// Binds the listener and spawns the reactor and its worker pool.
 ///
 /// Returns once the port is bound; serving continues in the background
 /// until a `SHUTDOWN` request (or [`ServerHandle::shutdown`]) drains it.
 ///
 /// # Errors
 ///
-/// [`SddError::Io`] when the address cannot be bound;
-/// [`SddError::Invalid`] when [`ServeBackend::Reactor`] is forced on a
-/// platform without epoll.
+/// [`SddError::Io`] when the address cannot be bound, or when the epoll
+/// reactor cannot start — always the case off Linux.
 pub fn serve(config: &ServeConfig) -> Result<ServerHandle, SddError> {
-    let backend = match config.backend {
-        ServeBackend::Auto => {
-            if crate::reactor::supported() {
-                ServeBackend::Reactor
-            } else {
-                ServeBackend::Threaded
-            }
-        }
-        ServeBackend::Reactor if !crate::reactor::supported() => {
-            return Err(SddError::invalid(
-                "the reactor backend needs epoll; this platform has none (use --backend threaded)",
-            ));
-        }
-        explicit => explicit,
-    };
     let listener =
         TcpListener::bind(&config.addr).map_err(|e| SddError::io(config.addr.clone(), &e))?;
     let addr = listener
         .local_addr()
         .map_err(|e| SddError::io(config.addr.clone(), &e))?;
-    let shared = Arc::new(Shared {
-        registry: Registry::new(config.memory_cap),
-        shutting_down: AtomicBool::new(false),
-        requests: AtomicU64::new(0),
-        diagnoses: AtomicU64::new(0),
-        busy: AtomicU64::new(0),
-        partial: AtomicU64::new(0),
-        active: AtomicUsize::new(0),
-        accepted: AtomicU64::new(0),
-        wakeups: AtomicU64::new(0),
-        backpressure_stalls: AtomicU64::new(0),
-        pipelined: AtomicU64::new(0),
-        addr,
-        workers: config.workers.max(1),
-        backend: match backend {
-            ServeBackend::Reactor => "reactor",
-            _ => "threaded",
-        },
-        mmap: config.mmap,
-        limits: Limits {
-            max_connections: config.max_connections.max(1),
-            write_timeout: config.write_timeout,
-            idle_timeout: config.idle_timeout,
-            request_deadline: config.request_deadline,
-        },
-    });
+    let shared = Arc::new(Shared::new(config, addr));
 
-    if backend == ServeBackend::Reactor {
-        let (reactor, workers) = crate::serve_reactor::spawn(listener, Arc::clone(&shared))
-            .map_err(|e| SddError::io("epoll reactor", &e))?;
-        return Ok(ServerHandle {
-            shared,
-            acceptor: Some(reactor),
-            workers,
-        });
-    }
-
-    let (sender, receiver) = mpsc::channel::<TcpStream>();
-    let receiver = Arc::new(Mutex::new(receiver));
-    let workers = (0..shared.workers)
-        .map(|_| {
-            let receiver = Arc::clone(&receiver);
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || worker_loop(&receiver, &shared))
-        })
-        .collect();
-
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        thread::spawn(move || {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if shared.shutting_down.load(Ordering::SeqCst) {
-                            break; // the poke, or a client that raced it
-                        }
-                        // Shed before queueing: a connection past the cap
-                        // gets an explicit one-line refusal instead of
-                        // waiting unbounded behind stalled peers.
-                        if shared.active.load(Ordering::SeqCst) >= shared.limits.max_connections {
-                            shed_connection(&stream, &shared);
-                            continue;
-                        }
-                        shared.active.fetch_add(1, Ordering::SeqCst);
-                        if sender.send(stream).is_err() {
-                            shared.active.fetch_sub(1, Ordering::SeqCst);
-                            break;
-                        }
-                    }
-                    Err(_) => {
-                        if shared.shutting_down.load(Ordering::SeqCst) {
-                            break;
-                        }
-                    }
-                }
-            }
-            // Dropping the sender lets workers drain the queue and exit.
-        })
-    };
-
+    let (reactor, workers) = crate::serve_reactor::spawn(listener, Arc::clone(&shared))
+        .map_err(|e| SddError::io("epoll reactor", &e))?;
     Ok(ServerHandle {
         shared,
-        acceptor: Some(acceptor),
+        reactor,
         workers,
     })
 }
@@ -982,29 +857,10 @@ pub(crate) struct Scratch {
     responses: Vec<MaskedBitVec>,
 }
 
-fn worker_loop(receiver: &Arc<Mutex<mpsc::Receiver<TcpStream>>>, shared: &Arc<Shared>) {
-    let mut scratch = Scratch::default();
-    loop {
-        let stream = {
-            // A worker that panicked mid-request poisons nothing the queue
-            // depends on — recover the receiver and keep serving.
-            let guard = receiver.lock().unwrap_or_else(|e| e.into_inner());
-            guard.recv()
-        };
-        match stream {
-            Ok(stream) => {
-                handle_connection(stream, shared, &mut scratch);
-                shared.active.fetch_sub(1, Ordering::SeqCst);
-            }
-            Err(_) => break, // acceptor gone and queue drained
-        }
-    }
-}
-
 /// Logs (one stderr line) a failed socket option instead of silently
-/// discarding it — a box where `SO_RCVTIMEO` cannot be set is a box where
-/// stalled clients pin workers, and that must be visible in triage.
-fn warn_socket(what: &str, result: io::Result<()>) {
+/// discarding it — a connection that loses a socket option (non-blocking
+/// shedding, `TCP_NODELAY`) still serves, but it must be visible in triage.
+pub(crate) fn warn_socket(what: &str, result: io::Result<()>) {
     if let Err(e) = result {
         eprintln!("sdd-serve: {what} failed: {e}");
     }
@@ -1029,135 +885,6 @@ pub(crate) fn shed_connection(stream: &TcpStream, shared: &Shared) {
     let _ = (&*stream).write(line.as_bytes());
 }
 
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, scratch: &mut Scratch) {
-    // Socket-option failures are survivable (the connection just loses its
-    // stall protection) but must not be silent — see `warn_socket`.
-    warn_socket(
-        "set_read_timeout",
-        stream.set_read_timeout(Some(POLL_INTERVAL)),
-    );
-    warn_socket(
-        "set_write_timeout",
-        stream.set_write_timeout(Some(shared.limits.write_timeout)),
-    );
-    let mut writer = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let mut last_complete = Instant::now();
-    loop {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            return; // in-flight request finished; drop the connection
-        }
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // client closed
-            Ok(_) => {
-                let request = line.trim().to_owned();
-                line.clear();
-                if request.is_empty() {
-                    continue;
-                }
-                shared.requests.fetch_add(1, Ordering::Relaxed);
-                let clock = RequestClock::new(shared.limits.request_deadline);
-                // One panicking request must not take the worker (and its
-                // queued connections) down with it: catch the unwind, tell
-                // the client, and keep serving. The scratch buffers are
-                // cleared at the start of every parse, so reusing them
-                // after a panic is safe.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    respond(&request, shared, scratch, &mut reader, &mut writer, &clock)
-                }));
-                match outcome {
-                    Ok(Ok(ConnectionFate::Keep)) => {}
-                    Ok(Ok(ConnectionFate::Close)) => return,
-                    // Client went away mid-reply, or the write timed out
-                    // (`WouldBlock`/`TimedOut` from `SO_SNDTIMEO`): either
-                    // way the connection is dead; the worker is not.
-                    Ok(Err(_)) => return,
-                    Err(_) => {
-                        let reply = err_reply("internal error: request panicked");
-                        if writeln!(writer, "{reply}")
-                            .and_then(|()| writer.flush())
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
-                }
-                last_complete = Instant::now();
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Idle poll tick; a partial line stays buffered. A client
-                // that dribbles bytes without ever finishing a request —
-                // the slow-loris shape — is cut off at the idle limit so
-                // it cannot pin a pool worker forever.
-                if last_complete.elapsed() >= shared.limits.idle_timeout {
-                    let _ = writeln!(
-                        writer,
-                        "{}",
-                        err_reply("idle timeout: no complete request within the limit")
-                    );
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-enum ConnectionFate {
-    Keep,
-    Close,
-}
-
-/// Parses one request line, writes the reply line(s), and says whether the
-/// connection stays open. `VOLUME` is the one verb that also *reads*: its
-/// corpus lines stream in on `reader` right behind the request line.
-///
-/// The inline verbs (`STATS`, `QUIT`, `SHUTDOWN`) and streaming `VOLUME`
-/// are handled here; every worker verb goes through [`execute_line`], the
-/// execution core both transports share.
-fn respond(
-    request: &str,
-    shared: &Arc<Shared>,
-    scratch: &mut Scratch,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    clock: &RequestClock,
-) -> io::Result<ConnectionFate> {
-    let mut tokens = request.split_whitespace();
-    let verb = tokens.next().unwrap_or_default().to_ascii_uppercase();
-    match verb.as_str() {
-        "VOLUME" => volume_reply(&mut tokens, shared, reader, writer)?,
-        "STATS" => writeln!(writer, "{}", stats_reply(shared))?,
-        "QUIT" => {
-            writeln!(writer, "OK BYE")?;
-            writer.flush()?;
-            return Ok(ConnectionFate::Close);
-        }
-        "SHUTDOWN" => {
-            writeln!(writer, "OK BYE")?;
-            writer.flush()?;
-            begin_shutdown(shared);
-            return Ok(ConnectionFate::Close);
-        }
-        _ => {
-            let mut out = Vec::new();
-            execute_line(request, shared, scratch, clock, &mut out);
-            writer.write_all(&out)?;
-        }
-    }
-    writer.flush()?;
-    Ok(ConnectionFate::Keep)
-}
-
 /// Appends one complete protocol line (newline-terminated) to a reply
 /// buffer.
 pub(crate) fn push_line(out: &mut Vec<u8>, line: &str) {
@@ -1169,12 +896,11 @@ pub(crate) fn push_line(out: &mut Vec<u8>, line: &str) {
 /// `BATCH`, the env-gated `PANIC` test hook, or an unknown verb —
 /// appending the complete reply line(s) to `out`.
 ///
-/// This is the execution core both transports share: the threaded backend
-/// buffers through it before writing, and the reactor's workers call it
-/// once per pipelined request. The caller routes the inline verbs
-/// (`STATS`, `QUIT`, `SHUTDOWN`) and the corpus-reading `VOLUME` verb, so
-/// they never reach here. `PANIC` really panics — containment is the
-/// caller's `catch_unwind`.
+/// The reactor's workers call it once per pipelined request. The reactor
+/// answers the inline verbs (`STATS`, `QUIT`, `SHUTDOWN`) itself and routes
+/// the corpus-carrying `VOLUME` verb to [`execute_volume`], so they never
+/// reach here. `PANIC` really panics — containment is the caller's
+/// `catch_unwind`.
 pub(crate) fn execute_line(
     request: &str,
     shared: &Arc<Shared>,
@@ -1251,7 +977,7 @@ pub(crate) fn execute_line(
 pub(crate) fn stats_reply(shared: &Shared) -> String {
     let stats = shared.registry.stats();
     let mut reply = format!(
-        "OK STATS workers={} dicts={} bytes={} mapped={} cap={} requests={} diags={} evictions={} busy={} partial={} active={} backend={} accepted={} wakeups={} backpressure_stalls={} pipelined={}",
+        "OK STATS workers={} dicts={} bytes={} mapped={} cap={} requests={} diags={} evictions={} busy={} partial={} active={} accepted={} wakeups={} backpressure_stalls={} pipelined={}",
         shared.workers,
         stats.dicts,
         stats.bytes,
@@ -1263,7 +989,6 @@ pub(crate) fn stats_reply(shared: &Shared) -> String {
         shared.busy.load(Ordering::Relaxed),
         shared.partial.load(Ordering::Relaxed),
         shared.active.load(Ordering::SeqCst),
-        shared.backend,
         shared.accepted.load(Ordering::Relaxed),
         shared.wakeups.load(Ordering::Relaxed),
         shared.backpressure_stalls.load(Ordering::Relaxed),
@@ -1607,79 +1332,6 @@ fn diagnose_sharded_reply(
     ))
 }
 
-/// Corpus lines of an in-flight `VOLUME` request, pulled from the
-/// connection under the same poll/idle discipline as request lines: a
-/// partial line stays buffered across poll ticks, a shutdown or stall
-/// mid-corpus surfaces as a transport error — which aborts the request and
-/// the connection, never wedges the worker.
-struct WireLines<'a> {
-    reader: &'a mut BufReader<TcpStream>,
-    shared: &'a Shared,
-    remaining: usize,
-    line: String,
-    last_line: Instant,
-}
-
-impl<'a> WireLines<'a> {
-    fn new(reader: &'a mut BufReader<TcpStream>, shared: &'a Shared, count: usize) -> Self {
-        Self {
-            reader,
-            shared,
-            remaining: count,
-            line: String::new(),
-            last_line: Instant::now(),
-        }
-    }
-}
-
-impl Iterator for WireLines<'_> {
-    type Item = io::Result<String>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 {
-            return None;
-        }
-        loop {
-            if self.shared.shutting_down.load(Ordering::SeqCst) {
-                return Some(Err(io::Error::new(
-                    io::ErrorKind::Interrupted,
-                    "server shutting down mid-corpus",
-                )));
-            }
-            match self.reader.read_line(&mut self.line) {
-                Ok(0) => {
-                    return Some(Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "client closed mid-corpus",
-                    )))
-                }
-                Ok(_) => {
-                    self.remaining -= 1;
-                    self.last_line = Instant::now();
-                    let text = self.line.trim_end_matches(['\r', '\n']).to_owned();
-                    self.line.clear();
-                    return Some(Ok(text));
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    // Poll tick; any partial line stays buffered in `line`.
-                    if self.last_line.elapsed() >= self.shared.limits.idle_timeout {
-                        return Some(Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "idle timeout mid-corpus",
-                        )));
-                    }
-                }
-                Err(e) => return Some(Err(e)),
-            }
-        }
-    }
-}
-
 /// The serve-side [`ShardSource`]: shards fetch lazily through the LRU
 /// registry, so a warm shard costs a registry hit and a cold one loads
 /// (and may evict elsewhere) — exactly the `DIAG` economics, applied per
@@ -1726,119 +1378,25 @@ impl ShardSource for RegistrySource<'_> {
     }
 }
 
-/// Serves one `VOLUME` request: reads the counted corpus lines off the
-/// connection and streams them through [`sdd_volume::run`] against the
-/// named dictionary. The reply is `OK VOLUME <lines>`, one
-/// verdict-prefixed JSON record per corpus record, then
-/// `OK SUMMARY <json>` — stripping the verdict tokens recovers the exact
-/// JSONL report the `sdd volume` CLI writes for the same corpus.
-///
-/// A request that fails *after* the count is known (unknown dictionary,
-/// bad option) still drains its corpus lines before the `ERR` reply, so
-/// the line protocol stays in sync for the next request.
-/// The usage line both `VOLUME` executors reply with on a malformed header.
+/// The usage line a malformed `VOLUME` header is answered with.
 pub(crate) const VOLUME_USAGE: &str =
     "usage: VOLUME <dict> <lines> [seed=N] [threshold=F] [budget_ms=N]";
 
-/// The `VOLUME` defaults for this server: the per-device budget (not
-/// per-request — a corpus is long-running by design) starts from the
-/// configured request deadline.
-pub(crate) fn default_volume_options(shared: &Shared) -> VolumeOptions {
-    VolumeOptions {
-        budget: shared
-            .limits
-            .request_deadline
-            .map_or_else(Budget::unlimited, Budget::deadline),
-        ..VolumeOptions::default()
-    }
-}
-
-/// Applies one `key=value` option token of a `VOLUME` request; `false`
-/// means the token is unknown or unparsable (an `ERR bad option` to the
-/// caller).
-pub(crate) fn apply_volume_option(options: &mut VolumeOptions, token: &str) -> bool {
-    match token.split_once('=') {
-        Some(("seed", v)) => v.parse().map(|seed| options.seed = seed).is_ok(),
-        Some(("threshold", v)) => v.parse().map(|t| options.threshold = t).is_ok(),
-        Some(("budget_ms", v)) => v
-            .parse()
-            .map(|ms| options.budget = Budget::deadline(Duration::from_millis(ms)))
-            .is_ok(),
-        _ => false,
-    }
-}
-
-fn volume_reply(
-    tokens: &mut std::str::SplitWhitespace<'_>,
-    shared: &Arc<Shared>,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-) -> io::Result<()> {
-    let (name, count) = match (tokens.next(), tokens.next().map(str::parse::<usize>)) {
-        (Some(name), Some(Ok(count))) => (name, count),
-        _ => return writeln!(writer, "{}", err_reply(VOLUME_USAGE)),
-    };
-    // Drains the already-promised corpus lines, then reports the failure.
-    let drain = |reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, reply: String| {
-        for line in WireLines::new(reader, shared, count) {
-            line?;
-        }
-        writeln!(writer, "{reply}")
-    };
-    let mut options = default_volume_options(shared);
-    for token in tokens {
-        if !apply_volume_option(&mut options, token) {
-            return drain(reader, writer, err_reply(&format!("bad option {token:?}")));
-        }
-    }
-    let source: Box<dyn ShardSource + '_> = match shared.registry.get(name) {
-        Fetched::Whole(dictionary) => Box::new(WholeSource::from_arc(dictionary)),
-        Fetched::WholeCold(image) => match fetch_whole(name, &image, shared) {
-            Ok(dictionary) => Box::new(WholeSource::from_arc(dictionary)),
-            Err(e) => return drain(reader, writer, err_reply(&e.to_string())),
-        },
-        Fetched::Sharded(shard_reader) => Box::new(RegistrySource {
-            name,
-            reader: shard_reader,
-            shared,
-        }),
-        Fetched::Missing => {
-            return drain(
-                reader,
-                writer,
-                err_reply(&format!("no dictionary loaded as {name:?}")),
-            )
-        }
-    };
-    writeln!(writer, "OK VOLUME {count}")?;
-    let mut lines = WireLines::new(reader, shared, count);
-    let mut buffered = io::BufWriter::new(&mut *writer);
-    let summary = sdd_volume::run(
-        source.as_ref(),
-        &mut lines,
-        &mut WireSink(&mut buffered),
-        &options,
-    )?;
-    buffered.flush()?;
-    drop(buffered);
-    shared
-        .diagnoses
-        .fetch_add(summary.devices as u64, Ordering::Relaxed);
-    shared
-        .partial
-        .fetch_add(summary.partial as u64, Ordering::Relaxed);
-    Ok(())
-}
-
-/// Executes one `VOLUME` request whose corpus lines were already buffered
-/// off the wire — the reactor path, where the event loop collects the
-/// counted lines and a worker runs the engine — appending the complete
-/// framed reply to `out`.
+/// Executes one `VOLUME` request whose counted corpus lines the reactor
+/// already read off the wire, streaming them through [`sdd_volume::run`]
+/// against the named dictionary and appending the complete framed reply to
+/// `out`.
 ///
-/// Wire bytes match the threaded streaming path exactly: a failure after
-/// the count was known (bad option, unknown dictionary) has consumed the
-/// corpus and yields a single `ERR` line, success yields
-/// `OK VOLUME <n>`, the verdict-prefixed records, and `OK SUMMARY`.
+/// Success yields `OK VOLUME <lines>`, one verdict-prefixed JSON record per
+/// corpus record, then `OK SUMMARY <json>` — stripping the verdict tokens
+/// recovers the exact JSONL report the `sdd volume` CLI writes for the same
+/// corpus. A failure after the count was known (bad option, unknown
+/// dictionary) has still consumed the corpus, so it yields a single `ERR`
+/// line and the line protocol stays in sync for the next request.
+///
+/// Options are `seed=N`, `threshold=F`, and `budget_ms=N`. The per-device
+/// budget (not per-request — a corpus is long-running by design) defaults
+/// to the configured request deadline.
 pub(crate) fn execute_volume(
     request: &str,
     corpus: Vec<String>,
@@ -1853,9 +1411,24 @@ pub(crate) fn execute_volume(
         // corpus for them; this arm is a defensive byte-identical fallback.
         _ => return push_line(out, &err_reply(VOLUME_USAGE)),
     };
-    let mut options = default_volume_options(shared);
+    let mut options = VolumeOptions {
+        budget: shared
+            .limits
+            .request_deadline
+            .map_or_else(Budget::unlimited, Budget::deadline),
+        ..VolumeOptions::default()
+    };
     for token in tokens {
-        if !apply_volume_option(&mut options, token) {
+        let applied = match token.split_once('=') {
+            Some(("seed", v)) => v.parse().map(|seed| options.seed = seed).is_ok(),
+            Some(("threshold", v)) => v.parse().map(|t| options.threshold = t).is_ok(),
+            Some(("budget_ms", v)) => v
+                .parse()
+                .map(|ms| options.budget = Budget::deadline(Duration::from_millis(ms)))
+                .is_ok(),
+            _ => false,
+        };
+        if !applied {
             return push_line(out, &err_reply(&format!("bad option {token:?}")));
         }
     }
@@ -2158,7 +1731,7 @@ mod tests {
         let poisoner = Arc::clone(&registry);
         // Panic while holding the registry lock, the way a crashing worker
         // mid-insert would.
-        let result = thread::spawn(move || {
+        let result = std::thread::spawn(move || {
             let _guard = poisoner.inner.lock().unwrap();
             panic!("deliberate poison");
         })

@@ -1,14 +1,16 @@
 //! The epoll-reactor serve transport (see the [`crate::serve`] module docs,
-//! "Transport backends").
+//! "Transport").
 //!
 //! One reactor thread owns every socket through a [`crate::reactor::Poller`]:
 //! it accepts, reads complete request lines, answers the cheap inline verbs
 //! (`STATS`, `QUIT`, `SHUTDOWN`, malformed `VOLUME` headers) on the spot,
 //! and hands CPU-bound work to the worker pool over an SPMC job queue.
-//! Workers execute through the exact same [`crate::serve::execute_line`] /
-//! [`crate::serve::execute_volume`] core the threaded backend uses — so the
-//! wire bytes are identical — and push finished reply buffers to a
-//! completion box that wakes the reactor through an eventfd.
+//! Workers execute through [`crate::serve::execute_line`] /
+//! [`crate::serve::execute_volume`] and push finished reply buffers to a
+//! completion box that wakes the reactor through an eventfd. Accepted
+//! sockets run with `TCP_NODELAY`: replies are already batched per job, so
+//! Nagle's algorithm would only hold the last segment of a reply back until
+//! the client's delayed ACK.
 //!
 //! Ordering guarantee: a connection has **at most one job in flight**, and
 //! consecutive worker-verb lines are folded into one job executed in order,
@@ -20,6 +22,11 @@
 //! buffer drains below [`LOW_WATER`]; a client that stops reading its
 //! replies therefore stops being served instead of ballooning memory, and
 //! a write stalled past the configured write timeout is connection death.
+//! Inbound, [`INBUF_HIGH_WATER`] caps the bytes a connection holds before
+//! they reach a job — raw unsplit bytes plus queued complete lines — so a
+//! client pipelining behind an in-flight job is paused, not buffered
+//! without limit. The counted corpus of a `VOLUME` request is the one
+//! exception: it is collected whole before the job runs.
 //!
 //! There is no poll tick anywhere: idle cutoffs and write stalls are
 //! computed deadlines fed to `epoll_wait`, and shutdown rides the existing
@@ -38,7 +45,7 @@ use std::time::{Duration, Instant};
 use crate::reactor::{Event, Poller, Waker};
 use crate::serve::{
     begin_shutdown, err_reply, execute_line, execute_volume, push_line, shed_connection,
-    stats_reply, RequestClock, Scratch, Shared, VOLUME_USAGE,
+    stats_reply, warn_socket, RequestClock, Scratch, Shared, VOLUME_USAGE,
 };
 
 /// Poller token of the listening socket.
@@ -52,7 +59,8 @@ const TOKEN_BASE: u64 = 2;
 const HIGH_WATER: usize = 256 * 1024;
 /// Outbound bytes at which a backpressured connection resumes reading.
 const LOW_WATER: usize = 64 * 1024;
-/// Inbound buffer cap: a client cannot buffer more than this un-parsed.
+/// Inbound cap: a connection stops being read once its unsplit bytes plus
+/// its queued complete lines ([`Conn::inbound_bytes`]) reach this.
 const INBUF_HIGH_WATER: usize = 1024 * 1024;
 /// Most consecutive pipelined worker lines folded into one job — amortizes
 /// the queue handoff without letting one connection monopolize a worker.
@@ -178,14 +186,54 @@ enum ConnState {
     InFlight,
 }
 
+/// Complete lines (trailing `\r`/`\n` stripped) not yet consumed, with the
+/// memory they hold.
+#[derive(Default)]
+struct PendingLines {
+    lines: VecDeque<String>,
+    bytes: usize,
+}
+
+impl PendingLines {
+    /// What one queued line costs: its text plus its queue slot, so a
+    /// stream of blank lines is bounded too.
+    fn footprint(line: &str) -> usize {
+        line.len() + std::mem::size_of::<String>()
+    }
+
+    fn push_back(&mut self, line: String) {
+        self.bytes += Self::footprint(&line);
+        self.lines.push_back(line);
+    }
+
+    fn pop_front(&mut self) -> Option<String> {
+        let line = self.lines.pop_front()?;
+        self.bytes -= Self::footprint(&line);
+        Some(line)
+    }
+
+    fn front(&self) -> Option<&String> {
+        self.lines.front()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.lines.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.lines.clear();
+        self.bytes = 0;
+    }
+}
+
 /// One admitted connection.
 struct Conn {
     stream: TcpStream,
     generation: u64,
     /// Raw bytes read but not yet split into lines.
     inbuf: Vec<u8>,
-    /// Complete lines (trailing `\r`/`\n` stripped) not yet consumed.
-    pending: VecDeque<String>,
+    /// Complete lines not yet consumed.
+    pending: PendingLines,
     /// Reply bytes not yet written to the socket.
     outbuf: Vec<u8>,
     state: ConnState,
@@ -203,6 +251,14 @@ struct Conn {
     interest: (bool, bool),
 }
 
+impl Conn {
+    /// Inbound bytes held for this connection — unsplit bytes plus queued
+    /// complete lines — which [`INBUF_HIGH_WATER`] caps.
+    fn inbound_bytes(&self) -> usize {
+        self.inbuf.len() + self.pending.bytes
+    }
+}
+
 /// Is this request line one the worker pool executes (as opposed to the
 /// inline `STATS`/`QUIT`/`SHUTDOWN` and the corpus-reading `VOLUME`)?
 fn is_worker_verb(request: &str) -> bool {
@@ -215,8 +271,8 @@ fn is_worker_verb(request: &str) -> bool {
 }
 
 /// Splits every complete line out of `inbuf` into `pending`, stripping
-/// trailing `\r`s exactly like the threaded backend's `read_line` + trim.
-/// `false` means the bytes were not UTF-8 — connection death there too.
+/// trailing `\r`s. `false` means the bytes were not UTF-8 — connection
+/// death.
 fn parse_lines(conn: &mut Conn) -> bool {
     let mut start = 0;
     while let Some(offset) = conn.inbuf[start..].iter().position(|&b| b == b'\n') {
@@ -430,44 +486,21 @@ pub(crate) fn spawn(
     listener: TcpListener,
     shared: Arc<Shared>,
 ) -> io::Result<(JoinHandle<()>, Vec<JoinHandle<()>>)> {
-    listener.set_nonblocking(true)?;
-    let poller = Poller::new()?;
-    let waker = Waker::new()?;
-    poller.register(listener.as_raw_fd(), TOKEN_LISTENER, true, false)?;
-    poller.register(waker.fd(), TOKEN_WAKER, true, false)?;
-    let queue = Arc::new(JobQueue::new());
-    let completions = Arc::new(CompletionBox {
-        finished: Mutex::new(Vec::new()),
-        waker,
-    });
-    let workers = (0..shared.workers.max(1))
+    let reactor = Reactor::new(listener, shared)?;
+    let workers = (0..reactor.shared.workers.max(1))
         .map(|_| {
-            let queue = Arc::clone(&queue);
-            let completions = Arc::clone(&completions);
-            let shared = Arc::clone(&shared);
+            let queue = Arc::clone(&reactor.queue);
+            let completions = Arc::clone(&reactor.completions);
+            let shared = Arc::clone(&reactor.shared);
             thread::spawn(move || worker_loop(&queue, &completions, &shared))
         })
         .collect();
-    let reactor = Reactor {
-        poller,
-        listener: Some(listener),
-        shared,
-        queue,
-        completions,
-        conns: Vec::new(),
-        free: Vec::new(),
-        generation: 0,
-        draining: false,
-        events: Vec::new(),
-        read_buf: vec![0; READ_CHUNK],
-    };
     let handle = thread::spawn(move || reactor.run());
     Ok((handle, workers))
 }
 
-/// One pool worker: pops jobs, executes them through the shared verb core
-/// (with the same per-line panic containment the threaded backend has),
-/// and posts the reply bytes back.
+/// One pool worker: pops jobs, executes them through the verb core with
+/// per-line panic containment, and posts the reply bytes back.
 fn worker_loop(queue: &JobQueue, completions: &CompletionBox, shared: &Arc<Shared>) {
     let mut scratch = Scratch::default();
     while let Some(job) = queue.pop() {
@@ -481,9 +514,8 @@ fn worker_loop(queue: &JobQueue, completions: &CompletionBox, shared: &Arc<Share
                         execute_line(line, shared, &mut scratch, &clock, &mut out);
                     }));
                     if outcome.is_err() {
-                        // Same contract as the threaded backend: the
-                        // panicking request yields exactly one ERR line and
-                        // the connection (and worker) survive.
+                        // The panicking request yields exactly one ERR line
+                        // and the connection (and worker) survive.
                         out.truncate(before);
                         push_line(&mut out, &err_reply("internal error: request panicked"));
                     }
@@ -509,6 +541,32 @@ fn worker_loop(queue: &JobQueue, completions: &CompletionBox, shared: &Arc<Share
 }
 
 impl Reactor {
+    /// Builds the event loop over an already-bound listener; nothing runs
+    /// until [`run`](Self::run).
+    fn new(listener: TcpListener, shared: Arc<Shared>) -> io::Result<Self> {
+        listener.set_nonblocking(true)?;
+        let poller = Poller::new()?;
+        let waker = Waker::new()?;
+        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, true, false)?;
+        poller.register(waker.fd(), TOKEN_WAKER, true, false)?;
+        Ok(Self {
+            poller,
+            listener: Some(listener),
+            shared,
+            queue: Arc::new(JobQueue::new()),
+            completions: Arc::new(CompletionBox {
+                finished: Mutex::new(Vec::new()),
+                waker,
+            }),
+            conns: Vec::new(),
+            free: Vec::new(),
+            generation: 0,
+            draining: false,
+            events: Vec::new(),
+            read_buf: vec![0; READ_CHUNK],
+        })
+    }
+
     fn run(mut self) {
         loop {
             if !self.draining && self.shared.shutting_down.load(Ordering::SeqCst) {
@@ -577,6 +635,7 @@ impl Reactor {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
+        warn_socket("set_nodelay", stream.set_nodelay(true));
         let index = self.free.pop().unwrap_or_else(|| {
             self.conns.push(None);
             self.conns.len() - 1
@@ -597,7 +656,7 @@ impl Reactor {
             stream,
             generation: self.generation,
             inbuf: Vec::new(),
-            pending: VecDeque::new(),
+            pending: PendingLines::default(),
             outbuf: Vec::new(),
             state: ConnState::Idle,
             last_activity: Instant::now(),
@@ -672,7 +731,10 @@ impl Reactor {
             let Some(conn) = self.conns[index].as_mut() else {
                 return false;
             };
-            if conn.read_eof || conn.paused || conn.closing || conn.inbuf.len() >= INBUF_HIGH_WATER
+            if conn.read_eof
+                || conn.paused
+                || conn.closing
+                || conn.inbound_bytes() >= INBUF_HIGH_WATER
             {
                 return true;
             }
@@ -684,7 +746,7 @@ impl Reactor {
                 Ok(n) => {
                     conn.inbuf.extend_from_slice(&self.read_buf[..n]);
                     if !parse_lines(conn) {
-                        return false; // not UTF-8: same fate as threaded
+                        return false; // not UTF-8
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
@@ -755,9 +817,9 @@ impl Reactor {
                 let in_flight = matches!(conn.state, ConnState::InFlight);
                 let awaiting = matches!(conn.state, ConnState::AwaitingCorpus { .. });
                 let out_pending = !conn.outbuf.is_empty();
-                // Close when the client died mid-corpus (same fate as the
-                // threaded backend), when a draining connection has nothing
-                // left to flush or finish, or at a fully-drained EOF.
+                // Close when the client died mid-corpus, when a draining
+                // connection has nothing left to flush or finish, or at a
+                // fully-drained EOF.
                 if (conn.read_eof && awaiting) || (conn.closing && !out_pending && !in_flight) {
                     true
                 } else {
@@ -780,8 +842,10 @@ impl Reactor {
         let Some(conn) = self.conns[index].as_mut() else {
             return;
         };
-        let want_read =
-            !conn.read_eof && !conn.closing && !conn.paused && conn.inbuf.len() < INBUF_HIGH_WATER;
+        let want_read = !conn.read_eof
+            && !conn.closing
+            && !conn.paused
+            && conn.inbound_bytes() < INBUF_HIGH_WATER;
         let want_write = !conn.outbuf.is_empty();
         if (want_read, want_write) != conn.interest {
             let token = TOKEN_BASE + index as u64;
@@ -805,8 +869,7 @@ impl Reactor {
 
     /// Enters shutdown: release the port immediately, discard buffered
     /// input everywhere, finish in-flight jobs, flush pending replies,
-    /// close everything else now — the reactor's translation of the
-    /// threaded backend's per-connection shutdown check.
+    /// close everything else now.
     fn start_drain(&mut self) {
         self.draining = true;
         if let Some(listener) = self.listener.take() {
@@ -831,7 +894,8 @@ impl Reactor {
     }
 
     /// The earliest pending deadline (idle cutoff or write stall) across
-    /// every connection — what replaces the threaded backend's poll tick.
+    /// every connection — the `epoll_wait` timeout, so no poll tick is
+    /// needed.
     fn next_timeout(&self) -> Option<Duration> {
         fn merge(deadline: &mut Option<Instant>, candidate: Instant) {
             *deadline = Some(deadline.map_or(candidate, |current| current.min(candidate)));
@@ -897,6 +961,95 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::ServeConfig;
+    use std::net::SocketAddr;
+
+    /// A reactor over a fresh loopback listener with no worker pool: jobs
+    /// stay queued until a test completes them by hand.
+    fn idle_reactor() -> (Reactor, SocketAddr) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shared = Arc::new(Shared::new(&ServeConfig::default(), addr));
+        (Reactor::new(listener, shared).unwrap(), addr)
+    }
+
+    /// Connects a client and runs the reactor's accept path until the
+    /// server side is admitted into slot 0.
+    fn admit_client(reactor: &mut Reactor, addr: SocketAddr) -> TcpStream {
+        let client = TcpStream::connect(addr).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while event_conn(&mut reactor.conns, 0).is_none() {
+            assert!(Instant::now() < deadline, "connection never admitted");
+            reactor.on_listener();
+            thread::sleep(Duration::from_millis(1));
+        }
+        client
+    }
+
+    fn conn(reactor: &Reactor) -> &Conn {
+        reactor.conns[0].as_ref().expect("slot 0 is admitted")
+    }
+
+    #[test]
+    fn admitted_streams_disable_nagle() {
+        let (mut reactor, addr) = idle_reactor();
+        let _client = admit_client(&mut reactor, addr);
+        assert!(conn(&reactor).stream.nodelay().unwrap());
+    }
+
+    #[test]
+    fn lines_pipelined_behind_an_in_flight_job_are_capped() {
+        let (mut reactor, addr) = idle_reactor();
+        let mut client = admit_client(&mut reactor, addr);
+        // One worker verb, then twice the cap of complete blank lines. The
+        // write blocks once the server stops reading; closing the server
+        // side at the end of the test releases it.
+        let writer = thread::spawn(move || {
+            let mut burst = b"DIAG d 01\n".to_vec();
+            burst.resize(burst.len() + 2 * INBUF_HIGH_WATER, b'\n');
+            let _ = client.write_all(&burst);
+            client
+        });
+        let token = TOKEN_BASE;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while conn(&reactor).interest.0 {
+            assert!(Instant::now() < deadline, "read interest never dropped");
+            reactor.on_conn_event(token, true, false);
+            thread::sleep(Duration::from_millis(1));
+        }
+        let held = conn(&reactor).inbound_bytes();
+        assert!(matches!(conn(&reactor).state, ConnState::InFlight));
+        assert!(held >= INBUF_HIGH_WATER, "{held}");
+        // At most one read chunk past the cap, each byte at worst a blank
+        // line.
+        assert!(
+            held < INBUF_HIGH_WATER + READ_CHUNK * PendingLines::footprint(""),
+            "{held}"
+        );
+        // A spurious readable event while capped reads nothing more.
+        reactor.on_conn_event(token, true, false);
+        assert_eq!(conn(&reactor).inbound_bytes(), held);
+
+        // Completing the job consumes the queued blank lines and resumes
+        // reading.
+        let job = reactor.queue.pop().expect("the DIAG job was dispatched");
+        assert!(matches!(&job.item, WorkItem::Lines(lines) if lines == &["DIAG d 01"]));
+        reactor.completions.push(Completion {
+            conn: job.conn,
+            generation: job.generation,
+            bytes: b"OK\n".to_vec(),
+        });
+        reactor.on_completions();
+        assert!(matches!(conn(&reactor).state, ConnState::Idle));
+        assert!(conn(&reactor).pending.is_empty());
+        assert!(
+            conn(&reactor).interest.0,
+            "reading resumes after completion"
+        );
+
+        reactor.close_conn(0);
+        let _ = writer.join();
+    }
 
     #[test]
     fn job_queue_is_fifo_and_drains_after_close() {
