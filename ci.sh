@@ -35,6 +35,15 @@ step "dictionary load bench (text parse vs binary read + mmap cold start, JSON)"
 cargo run --offline --release -p sdd-bench --bin load_bench -- c17 1 10 --out BENCH_load.json
 cargo run --offline --release -p sdd-bench --bin load_bench -- --check BENCH_load.json
 
+step "match bench (flat-matrix kernel vs reference matcher, JSON)"
+# BENCH_match.json carries ns/fault and GB/s (median/min/max of 7 trials)
+# for the scoring kernel, the bounded matcher serve and volume use, and the
+# former Vec<BitVec> + full-sort matcher, at c17, s953 and 20,000 x 512.
+# The gate fails on a missing/malformed report or any bounded reply that
+# differs from the reference's; the speed ratio is recorded, not gated.
+cargo run --offline --release -p sdd-bench --bin match_bench -- --out BENCH_match.json
+cargo run --offline --release -p sdd-bench --bin match_bench -- --check BENCH_match.json
+
 step "volume smoke (CLI vs served VOLUME, corrupted-corpus resilience)"
 # tests/volume_smoke.rs drives the real binary and a live server and
 # asserts byte-identical reports; tests/volume_corpus.rs walks the

@@ -105,7 +105,7 @@ fn bench_dictionaries() {
 
     let sd = SameDifferentDictionary::build(&matrix, &baselines);
     let pf = PassFailDictionary::build(&matrix);
-    let observed = pf.signature(3).clone();
+    let observed = pf.signature(3);
     bench("diagnose_pass_fail_s641", 20, || pf.diagnose(&observed));
     let responses: Vec<_> = (0..matrix.test_count())
         .map(|t| matrix.response(t, matrix.class(t, 3)))

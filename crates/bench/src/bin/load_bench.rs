@@ -154,7 +154,7 @@ fn run(circuit: &str, seed: u64, reps: u32) -> String {
     // the one the full decode produces.
     let bytes = sdd_store::read_dictionary_bytes(&path, mapped_mode).expect("mapped read");
     let reader = SddbReader::open(&bytes).expect("open reader");
-    let first_row_identical = &reader.signature(0).expect("first row") == dictionary.signature(0);
+    let first_row_identical = reader.signature(0).expect("first row") == dictionary.signature(0);
     let _ = std::fs::remove_dir_all(&dir);
 
     format!(

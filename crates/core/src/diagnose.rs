@@ -21,7 +21,7 @@
 //! paper's references 8, 12 and 14).
 
 use sdd_fault::{FaultId, FaultUniverse};
-use sdd_logic::{BitVec, MaskedBitVec, SddError};
+use sdd_logic::{BitVec, MaskedBitVec, SddError, SignatureMatrix};
 use sdd_netlist::{Circuit, CombView};
 use sdd_sim::reference;
 
@@ -66,6 +66,26 @@ pub enum MatchQuality {
     Ranked,
 }
 
+impl MatchQuality {
+    /// The ladder rung for a best-candidate mismatch count `min`: zero
+    /// mismatches is [`Exact`](Self::Exact) on fully-known data and
+    /// [`ConsistentUnderMask`](Self::ConsistentUnderMask) under a mask;
+    /// anything else is [`Ranked`](Self::Ranked). Every matcher — whole,
+    /// sharded, any kind — derives its rung here.
+    pub fn of(min: usize, fully_known: bool) -> Self {
+        match (min, fully_known) {
+            (0, true) => Self::Exact,
+            (0, false) => Self::ConsistentUnderMask,
+            _ => Self::Ranked,
+        }
+    }
+}
+
+/// Candidates a reply shows beyond the best-tied set: the serve `top=`
+/// field and the volume record's `top` list. The bounded matchers keep
+/// exactly this ranking prefix.
+pub const TOP_CANDIDATES: usize = 5;
+
 /// One candidate fault in a noisy diagnosis, with the evidence behind it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoredCandidate {
@@ -98,7 +118,10 @@ impl ScoredCandidate {
 /// missing data the caller needs to see how steeply confidence falls off.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NoisyDiagnosisReport {
-    /// Every fault, ranked by known-bit mismatches (ties in fault order).
+    /// Candidates ranked by known-bit mismatches (ties in fault order):
+    /// every fault for the `diagnose_masked` entry points, the bounded
+    /// prefix (best-tied set plus the first [`TOP_CANDIDATES`]) for
+    /// sharded diagnosis.
     pub ranking: Vec<ScoredCandidate>,
     /// Faults tied at the minimum mismatch count (positions into the
     /// dictionary's fault list) — the noisy analogue of
@@ -122,25 +145,74 @@ impl NoisyDiagnosisReport {
         self.ranking.first().map_or(0, |c| c.mismatches)
     }
 
-    fn from_scores(mut scored: Vec<ScoredCandidate>, fully_known: bool) -> Self {
-        scored.sort_by(|a, b| a.mismatches.cmp(&b.mismatches).then(a.fault.cmp(&b.fault)));
-        let min = scored.first().map_or(0, |c| c.mismatches);
-        let best: Vec<usize> = scored
+    fn from_ranking(ranking: Vec<ScoredCandidate>, quality: MatchQuality, known: usize) -> Self {
+        let min = ranking.first().map_or(0, |c| c.mismatches);
+        let best = ranking
             .iter()
             .take_while(|c| c.mismatches == min)
             .map(|c| c.fault)
             .collect();
-        let known = scored.first().map_or(0, |c| c.known);
-        let quality = match (min, fully_known) {
-            (0, true) => MatchQuality::Exact,
-            (0, false) => MatchQuality::ConsistentUnderMask,
-            _ => MatchQuality::Ranked,
-        };
         Self {
-            ranking: scored,
+            ranking,
             best,
             quality,
             known,
+        }
+    }
+}
+
+/// Reusable buffers for the bounded matchers
+/// ([`match_signatures_top_into`], [`FullDictionary::diagnose_masked_top_into`]):
+/// per-fault mismatch counts and the ranking prefix selected from them.
+#[derive(Debug, Clone, Default)]
+pub struct MatchScratch {
+    mismatches: Vec<u32>,
+    /// The ranking the last match left, ordered by `(mismatches, fault)`.
+    pub ranking: Vec<ScoredCandidate>,
+}
+
+/// The one selection every matcher ends in. Fills `ranking` with every
+/// candidate tied at `min` plus the first `top` candidates by
+/// `(mismatches, fault)` — the prefix of the full ranking of length
+/// `max(ties, min(top, count))` — from `count` `(fault, mismatches)` pairs
+/// in any order.
+///
+/// When `top` covers every candidate this is the full ranking, sorted once.
+/// Otherwise it is a bounded insertion: a candidate is placed (binary
+/// search into the at most `top` kept entries) only if it ties the minimum
+/// or beats the current last entry, and the last entry is dropped again
+/// whenever that overfills the bound without evicting a tie — no full sort,
+/// and nothing is allocated beyond the kept prefix.
+fn select_top_into(
+    candidates: impl Iterator<Item = (usize, usize)>,
+    count: usize,
+    min: usize,
+    known: usize,
+    top: usize,
+    ranking: &mut Vec<ScoredCandidate>,
+) {
+    ranking.clear();
+    let key = |c: &ScoredCandidate| (c.mismatches, c.fault);
+    if top >= count {
+        ranking.reserve(count);
+        ranking.extend(candidates.map(|(fault, m)| ScoredCandidate::new(fault, m, known)));
+        ranking.sort_unstable_by_key(key);
+        return;
+    }
+    // The key of the last kept entry once `top` are kept: a later candidate
+    // past it that does not tie the minimum cannot enter the prefix.
+    let mut cut = (usize::MAX, usize::MAX);
+    for (fault, mismatches) in candidates {
+        if mismatches != min && (mismatches, fault) > cut {
+            continue;
+        }
+        let at = ranking.partition_point(|c| key(c) < (mismatches, fault));
+        ranking.insert(at, ScoredCandidate::new(fault, mismatches, known));
+        if ranking.len() > top && ranking.last().is_some_and(|last| last.mismatches != min) {
+            ranking.pop();
+        }
+        if ranking.len() >= top {
+            cut = ranking.last().map_or(cut, key);
         }
     }
 }
@@ -154,32 +226,25 @@ impl NoisyDiagnosisReport {
 /// [`SddError::WidthMismatch`] when `observed`'s width differs from the
 /// signatures'.
 pub fn match_signatures(
-    signatures: &[BitVec],
+    signatures: &SignatureMatrix,
     observed: &BitVec,
 ) -> Result<DiagnosisReport, SddError> {
-    if signatures.is_empty() {
-        return Err(SddError::Empty {
-            context: "signature dictionary",
-        });
-    }
-    let mut distance = usize::MAX;
-    let mut nearest = Vec::new();
-    for (fault, signature) in signatures.iter().enumerate() {
-        let d = signature
-            .hamming_distance(observed)
-            .ok_or(SddError::WidthMismatch {
+    let mut mismatches = Vec::new();
+    let distance = signatures
+        .masked_mismatches_into(&MaskedBitVec::from_known(observed.clone()), &mut mismatches)
+        .map_err(|e| match e {
+            SddError::WidthMismatch {
+                expected, actual, ..
+            } => SddError::WidthMismatch {
                 context: "observed signature",
-                expected: signature.len(),
-                actual: observed.len(),
-            })?;
-        if d < distance {
-            distance = d;
-            nearest.clear();
-        }
-        if d == distance {
-            nearest.push(fault);
-        }
-    }
+                expected,
+                actual,
+            },
+            other => other,
+        })?;
+    let nearest: Vec<usize> = (0..mismatches.len())
+        .filter(|&fault| mismatches[fault] == distance)
+        .collect();
     let exact = if distance == 0 {
         nearest.clone()
     } else {
@@ -188,12 +253,13 @@ pub fn match_signatures(
     Ok(DiagnosisReport {
         exact,
         nearest,
-        distance,
+        distance: distance as usize,
     })
 }
 
 /// Matches a partial observed signature against stored per-fault signatures
-/// by masked Hamming distance: only known observation bits count.
+/// by masked Hamming distance: only known observation bits count. The
+/// ranking covers every fault.
 ///
 /// # Errors
 ///
@@ -201,32 +267,23 @@ pub fn match_signatures(
 /// [`SddError::WidthMismatch`] when `observed`'s width differs from the
 /// signatures'.
 pub fn match_signatures_masked(
-    signatures: &[BitVec],
+    signatures: &SignatureMatrix,
     observed: &MaskedBitVec,
 ) -> Result<NoisyDiagnosisReport, SddError> {
-    let mut scratch = Vec::new();
-    let (quality, known) = match_signatures_masked_into(signatures, observed, &mut scratch)?;
-    let min = scratch.first().map_or(0, |c| c.mismatches);
-    let best = scratch
-        .iter()
-        .take_while(|c| c.mismatches == min)
-        .map(|c| c.fault)
-        .collect();
-    Ok(NoisyDiagnosisReport {
-        ranking: scratch,
-        best,
+    let mut scratch = MatchScratch::default();
+    let (quality, known) =
+        match_signatures_top_into(signatures, observed, usize::MAX, &mut scratch)?;
+    Ok(NoisyDiagnosisReport::from_ranking(
+        scratch.ranking,
         quality,
         known,
-    })
+    ))
 }
 
-/// [`match_signatures_masked`] with a caller-owned scratch buffer: `scratch`
-/// is cleared, filled with every fault's score, and sorted by mismatch count
+/// [`match_signatures_masked`] with a caller-owned ranking buffer: `scratch`
+/// is cleared and filled with every fault's score, sorted by mismatch count
 /// (ties in fault order). Returns the match quality and the known-bit count.
-///
-/// Long-running services handle thousands of diagnosis queries per loaded
-/// dictionary; reusing one ranking buffer per worker keeps the hot path free
-/// of per-request allocation (beyond what the report itself would need).
+/// This is the `top = usize::MAX` case of [`match_signatures_top_into`].
 ///
 /// # Errors
 ///
@@ -234,30 +291,69 @@ pub fn match_signatures_masked(
 /// [`SddError::WidthMismatch`] when `observed`'s width differs from the
 /// signatures'.
 pub fn match_signatures_masked_into(
-    signatures: &[BitVec],
+    signatures: &SignatureMatrix,
     observed: &MaskedBitVec,
     scratch: &mut Vec<ScoredCandidate>,
 ) -> Result<(MatchQuality, usize), SddError> {
-    if signatures.is_empty() {
-        return Err(SddError::Empty {
-            context: "signature dictionary",
-        });
-    }
-    scratch.clear();
-    scratch.reserve(signatures.len());
-    for (fault, signature) in signatures.iter().enumerate() {
-        let d = observed.distance_to(signature)?;
-        scratch.push(ScoredCandidate::new(fault, d.mismatches, d.known));
-    }
-    scratch.sort_by(|a, b| a.mismatches.cmp(&b.mismatches).then(a.fault.cmp(&b.fault)));
-    let min = scratch.first().map_or(0, |c| c.mismatches);
-    let known = scratch.first().map_or(0, |c| c.known);
-    let quality = match (min, observed.is_fully_known()) {
-        (0, true) => MatchQuality::Exact,
-        (0, false) => MatchQuality::ConsistentUnderMask,
-        _ => MatchQuality::Ranked,
+    let mut buffers = MatchScratch {
+        mismatches: Vec::new(),
+        ranking: std::mem::take(scratch),
     };
-    Ok((quality, known))
+    let result = match_signatures_top_into(signatures, observed, usize::MAX, &mut buffers);
+    *scratch = buffers.ranking;
+    result
+}
+
+/// The bounded matcher: scores every row of `signatures` with the
+/// allocation-free kernel ([`SignatureMatrix::masked_mismatches_into`]) and
+/// leaves in `scratch.ranking` every fault tied at the minimum plus the
+/// first `top` faults by `(mismatches, fault)` — exactly the prefix of
+/// [`match_signatures_masked`]'s ranking a reply shows. Returns the match
+/// quality and the known-bit count.
+///
+/// Long-running services handle thousands of diagnosis queries per loaded
+/// dictionary; one `scratch` per worker keeps the hot path free of
+/// per-request allocation once its buffers have grown.
+///
+/// # Errors
+///
+/// Returns [`SddError::Empty`] when there are no signatures to match, and
+/// [`SddError::WidthMismatch`] when `observed`'s width differs from the
+/// signatures'.
+///
+/// # Example
+///
+/// ```
+/// use sdd_core::diagnose::{match_signatures_masked, match_signatures_top_into, MatchScratch};
+/// use sdd_core::PassFailDictionary;
+///
+/// let d = PassFailDictionary::build(&sdd_core::example::paper_example());
+/// let observed = "1X".parse()?;
+/// let mut scratch = MatchScratch::default();
+/// match_signatures_top_into(d.signatures(), &observed, 1, &mut scratch)?;
+/// let full = match_signatures_masked(d.signatures(), &observed)?;
+/// // f1, f2, f3 tie at zero mismatches: all ties are kept past `top = 1`.
+/// assert_eq!(scratch.ranking, full.ranking[..3]);
+/// # Ok::<(), sdd_logic::SddError>(())
+/// ```
+pub fn match_signatures_top_into(
+    signatures: &SignatureMatrix,
+    observed: &MaskedBitVec,
+    top: usize,
+    scratch: &mut MatchScratch,
+) -> Result<(MatchQuality, usize), SddError> {
+    let min = signatures.masked_mismatches_into(observed, &mut scratch.mismatches)? as usize;
+    let known = observed.known_count();
+    let mismatches = &scratch.mismatches;
+    select_top_into(
+        mismatches.iter().map(|&m| m as usize).enumerate(),
+        mismatches.len(),
+        min,
+        known,
+        top,
+        &mut scratch.ranking,
+    );
+    Ok((MatchQuality::of(min, known == observed.len()), known))
 }
 
 impl PassFailDictionary {
@@ -395,17 +491,54 @@ impl FullDictionary {
 
     /// Diagnoses from partial per-test observations by masked Hamming
     /// distance: each fault is scored by how many *known* observed output
-    /// bits its stored responses contradict.
+    /// bits its stored responses contradict. The ranking covers every
+    /// fault.
     ///
     /// # Errors
     ///
     /// Returns [`SddError::CountMismatch`] / [`SddError::WidthMismatch`]
-    /// when the responses do not line up with the dictionary.
+    /// when the responses do not line up with the dictionary, and
+    /// [`SddError::Empty`] for a dictionary with no faults.
     pub fn diagnose_masked(
         &self,
         responses: &[MaskedBitVec],
     ) -> Result<NoisyDiagnosisReport, SddError> {
+        let mut scratch = MatchScratch::default();
+        let (quality, known) =
+            self.diagnose_masked_top_into(responses, usize::MAX, &mut scratch)?;
+        Ok(NoisyDiagnosisReport::from_ranking(
+            scratch.ranking,
+            quality,
+            known,
+        ))
+    }
+
+    /// The bounded form of [`diagnose_masked`](Self::diagnose_masked), the
+    /// full-dictionary counterpart of [`match_signatures_top_into`]: scores
+    /// every fault into `scratch`, then keeps every fault tied at the
+    /// minimum plus the first `top` by `(mismatches, fault)` in
+    /// `scratch.ranking`. Returns the match quality and the known-bit count.
+    ///
+    /// Scoring is per response class, not per fault: each test's classes
+    /// are compared with the observation once (the fault-free response plus
+    /// the class's flipped outputs), then each fault sums its classes'
+    /// counts.
+    ///
+    /// # Errors
+    ///
+    /// As [`diagnose_masked`](Self::diagnose_masked).
+    pub fn diagnose_masked_top_into(
+        &self,
+        responses: &[MaskedBitVec],
+        top: usize,
+        scratch: &mut MatchScratch,
+    ) -> Result<(MatchQuality, usize), SddError> {
         let matrix = self.matrix();
+        if matrix.fault_count() == 0 {
+            return Err(SddError::Empty {
+                context: "full dictionary",
+            });
+        }
         if responses.len() != matrix.test_count() {
             return Err(SddError::CountMismatch {
                 context: "responses per test",
@@ -413,27 +546,54 @@ impl FullDictionary {
                 actual: responses.len(),
             });
         }
-        let mut per_test: Vec<Vec<usize>> = Vec::with_capacity(matrix.test_count());
-        let mut known_total = 0usize;
-        for (test, observed) in responses.iter().enumerate() {
-            let mut classes = Vec::with_capacity(matrix.class_count(test));
-            for class in 0..matrix.class_count(test) as u32 {
-                let d = observed.distance_to(&matrix.response(test, class))?;
-                classes.push(d.mismatches);
-            }
-            known_total += observed.known_count();
-            per_test.push(classes);
+        // A fault's count is at most the observed bits, so u32 counts (as
+        // the signature kernel keeps) cannot overflow once those fit.
+        let bits: usize = responses.iter().map(MaskedBitVec::len).sum();
+        if u32::try_from(bits).is_err() {
+            return Err(SddError::TooLarge {
+                context: "observed bits per diagnosis",
+                max: u64::from(u32::MAX),
+                actual: bits as u64,
+            });
         }
+        let mismatches = &mut scratch.mismatches;
+        mismatches.clear();
+        mismatches.resize(matrix.fault_count(), 0);
+        let mut per_class = Vec::new();
+        let mut known = 0usize;
+        for (test, observed) in responses.iter().enumerate() {
+            let good = matrix.good_response(test);
+            let base = observed.distance_to(good)?.mismatches;
+            per_class.clear();
+            for class in 0..matrix.class_count(test) as u32 {
+                // Each flipped output moves a known bit into or out of
+                // agreement with the observation.
+                let mut d = base;
+                for &output in matrix.class_diffs(test, class) {
+                    match observed.bit(output as usize) {
+                        Some(bit) if bit == good.bit(output as usize) => d += 1,
+                        Some(_) => d -= 1,
+                        None => {}
+                    }
+                }
+                per_class.push(d as u32);
+            }
+            for (total, &class) in mismatches.iter_mut().zip(matrix.classes(test)) {
+                *total += per_class[class as usize];
+            }
+            known += observed.known_count();
+        }
+        let min = mismatches.iter().copied().min().unwrap_or(0) as usize;
         let fully_known = responses.iter().all(MaskedBitVec::is_fully_known);
-        let scored = (0..matrix.fault_count())
-            .map(|fault| {
-                let mismatches: usize = (0..matrix.test_count())
-                    .map(|test| per_test[test][matrix.class(test, fault) as usize])
-                    .sum();
-                ScoredCandidate::new(fault, mismatches, known_total)
-            })
-            .collect();
-        Ok(NoisyDiagnosisReport::from_scores(scored, fully_known))
+        select_top_into(
+            mismatches.iter().map(|&m| m as usize).enumerate(),
+            mismatches.len(),
+            min,
+            known,
+            top,
+            &mut scratch.ranking,
+        );
+        Ok((MatchQuality::of(min, fully_known), known))
     }
 }
 
@@ -526,24 +686,26 @@ pub fn two_phase_diagnose_masked(
 }
 
 /// Merges per-shard masked rankings into one global [`NoisyDiagnosisReport`]
-/// that is bit-identical to diagnosing against the unsharded dictionary.
+/// that equals the unsharded diagnosis' ranking prefix.
 ///
-/// Each entry pairs a shard's first global fault index with its *sorted*
-/// local ranking (as produced by [`match_signatures_masked_into`] or any
-/// `diagnose_masked`); local fault positions are rebased by the offset and
-/// the rankings are k-way merged on `(mismatches, global fault)` — exactly
-/// the unsharded sort key, so for shards that tile the fault list the merged
-/// order equals the global stable sort. In particular, candidates from
-/// *different* shards with equal mismatches tie-break on global fault
-/// index, whatever order the shards appear in `shards`. A shard with an
-/// empty ranking (it matched nothing — e.g. it was filtered out upstream)
-/// contributes nothing and is otherwise ignored; only *all* shards being
-/// empty is an error. `fully_known` is whether the
-/// observation had no masked bits (a property of the observation, identical
-/// for every shard), and it re-derives the quality ladder the same way a
-/// single-dictionary diagnosis would: minimum mismatches of zero means
-/// [`MatchQuality::Exact`] on full data, [`MatchQuality::ConsistentUnderMask`]
-/// under a mask, anything else is [`MatchQuality::Ranked`].
+/// Each entry pairs a shard's first global fault index with its local
+/// ranking — the prefix a bounded matcher left (every local tie at the
+/// shard's minimum plus its first `top`), or a whole `diagnose_masked`
+/// ranking. Local fault positions are rebased by the offset and the union
+/// goes through the same selection as a single dictionary, keyed on
+/// `(mismatches, global fault)`: the result is every candidate tied at the
+/// global minimum plus the first `top` overall. That prefix is exact: a
+/// fault among the global first `top` is among its own shard's first
+/// `top`, and every fault tied at the global minimum is tied at its
+/// shard's minimum, so no shard dropped anything the merge keeps.
+/// Candidates from *different* shards with equal mismatches tie-break on
+/// global fault index, whatever order the shards appear in `shards`. A
+/// shard with an empty ranking (it matched nothing — e.g. it was filtered
+/// out upstream) contributes nothing and is otherwise ignored; only *all*
+/// shards being empty is an error. `fully_known` is whether the observation
+/// had no masked bits (a property of the observation, identical for every
+/// shard); the rung comes from [`MatchQuality::of`] like any other match.
+/// `top = usize::MAX` merges whole rankings into the whole global ranking.
 ///
 /// # Errors
 ///
@@ -562,11 +724,12 @@ pub fn two_phase_diagnose_masked(
 /// let observed = MaskedBitVec::from_known("01".parse()?);
 /// let whole = d.diagnose_masked(&observed)?;
 /// // Split the 4 faults into two shards and diagnose each independently.
-/// let lo = match_signatures_masked(&d.signatures()[..2], &observed)?;
-/// let hi = match_signatures_masked(&d.signatures()[2..], &observed)?;
+/// let lo = match_signatures_masked(&d.signatures().slice(0..2), &observed)?;
+/// let hi = match_signatures_masked(&d.signatures().slice(2..4), &observed)?;
 /// let merged = merge_shard_rankings(
 ///     &[(0, &lo.ranking[..]), (2, &hi.ranking[..])],
 ///     observed.is_fully_known(),
+///     usize::MAX,
 /// )?;
 /// assert_eq!(merged, whole);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -574,80 +737,41 @@ pub fn two_phase_diagnose_masked(
 pub fn merge_shard_rankings(
     shards: &[(usize, &[ScoredCandidate])],
     fully_known: bool,
+    top: usize,
 ) -> Result<NoisyDiagnosisReport, SddError> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let total: usize = shards.iter().map(|(_, r)| r.len()).sum();
-    if total == 0 {
+    let candidates = || {
+        shards
+            .iter()
+            .flat_map(|&(offset, ranking)| ranking.iter().map(move |c| (offset + c.fault, c)))
+    };
+    let Some((_, first)) = candidates().next() else {
         return Err(SddError::Empty {
             context: "shard rankings",
         });
-    }
-    let known = shards
-        .iter()
-        .flat_map(|(_, r)| r.first())
-        .map(|c| c.known)
-        .max()
-        .unwrap_or(0);
-    // Seed the heap with each shard's best candidate; every pop advances
-    // one shard's cursor, so the merge is O(total · log shards).
-    let mut heap = BinaryHeap::with_capacity(shards.len());
-    for (index, &(offset, ranking)) in shards.iter().enumerate() {
-        if let Some(c) = ranking.first() {
-            if c.known != known {
-                return Err(SddError::CountMismatch {
-                    context: "known bits across shard rankings",
-                    expected: known,
-                    actual: c.known,
-                });
-            }
-            heap.push(Reverse((c.mismatches, offset + c.fault, index, 0usize)));
-        }
-    }
-    let mut ranking = Vec::with_capacity(total);
-    while let Some(Reverse((mismatches, fault, index, pos))) = heap.pop() {
-        let (offset, shard) = shards[index];
-        let local = shard[pos];
-        if local.known != known {
-            return Err(SddError::CountMismatch {
-                context: "known bits across shard rankings",
-                expected: known,
-                actual: local.known,
-            });
-        }
-        ranking.push(ScoredCandidate { fault, ..local });
-        debug_assert_eq!(local.mismatches, mismatches);
-        if let Some(next) = shard.get(pos + 1) {
-            debug_assert!(
-                (next.mismatches, next.fault) > (local.mismatches, local.fault),
-                "shard rankings must be sorted by (mismatches, fault)"
-            );
-            heap.push(Reverse((
-                next.mismatches,
-                offset + next.fault,
-                index,
-                pos + 1,
-            )));
-        }
-    }
-    let min = ranking[0].mismatches;
-    let best = ranking
-        .iter()
-        .take_while(|c| c.mismatches == min)
-        .map(|c| c.fault)
-        .collect();
-    let quality = match (min, fully_known) {
-        (0, true) => MatchQuality::Exact,
-        (0, false) => MatchQuality::ConsistentUnderMask,
-        _ => MatchQuality::Ranked,
     };
-    Ok(NoisyDiagnosisReport {
-        ranking,
-        best,
-        quality,
+    let known = first.known;
+    if let Some((_, c)) = candidates().find(|(_, c)| c.known != known) {
+        return Err(SddError::CountMismatch {
+            context: "known bits across shard rankings",
+            expected: known,
+            actual: c.known,
+        });
+    }
+    let min = candidates().map(|(_, c)| c.mismatches).min().unwrap_or(0);
+    let mut ranking = Vec::new();
+    select_top_into(
+        candidates().map(|(fault, c)| (fault, c.mismatches)),
+        shards.iter().map(|(_, r)| r.len()).sum(),
+        min,
         known,
-    })
+        top,
+        &mut ranking,
+    );
+    Ok(NoisyDiagnosisReport::from_ranking(
+        ranking,
+        MatchQuality::of(min, fully_known),
+        known,
+    ))
 }
 
 #[cfg(test)]
@@ -664,9 +788,14 @@ mod tests {
         s.parse().unwrap()
     }
 
+    fn sm(rows: &[&str]) -> SignatureMatrix {
+        let rows: Vec<BitVec> = rows.iter().map(|r| bv(r)).collect();
+        SignatureMatrix::from_rows(rows.first().map_or(0, BitVec::len), &rows).unwrap()
+    }
+
     #[test]
     fn exact_match_wins() {
-        let sigs = vec![bv("00"), bv("01"), bv("11")];
+        let sigs = sm(&["00", "01", "11"]);
         let r = match_signatures(&sigs, &bv("01")).unwrap();
         assert_eq!(r.exact, vec![1]);
         assert_eq!(r.candidates(), &[1]);
@@ -675,7 +804,7 @@ mod tests {
 
     #[test]
     fn nearest_match_reports_all_ties() {
-        let sigs = vec![bv("00"), bv("11"), bv("10")];
+        let sigs = sm(&["00", "11", "10"]);
         let r = match_signatures(&sigs, &bv("01")).unwrap();
         assert!(r.exact.is_empty());
         assert_eq!(r.nearest, vec![0, 1]); // both at distance 1
@@ -684,7 +813,7 @@ mod tests {
 
     #[test]
     fn width_mismatch_is_an_error_not_a_panic() {
-        let sigs = vec![bv("00")];
+        let sigs = sm(&["00"]);
         let e = match_signatures(&sigs, &bv("000")).unwrap_err();
         assert!(matches!(
             e,
@@ -701,18 +830,18 @@ mod tests {
     #[test]
     fn empty_dictionary_is_an_error() {
         assert!(matches!(
-            match_signatures(&[], &bv("01")),
+            match_signatures(&SignatureMatrix::zeros(0, 2), &bv("01")),
             Err(SddError::Empty { .. })
         ));
         assert!(matches!(
-            match_signatures_masked(&[], &mv("01")),
+            match_signatures_masked(&SignatureMatrix::zeros(0, 2), &mv("01")),
             Err(SddError::Empty { .. })
         ));
     }
 
     #[test]
     fn masked_match_walks_the_degradation_ladder() {
-        let sigs = vec![bv("00"), bv("01"), bv("11")];
+        let sigs = sm(&["00", "01", "11"]);
         // Fully known, exact.
         let r = match_signatures_masked(&sigs, &mv("01")).unwrap();
         assert_eq!(r.quality, MatchQuality::Exact);
@@ -732,7 +861,7 @@ mod tests {
 
     #[test]
     fn scratch_variant_agrees_and_reuses_the_buffer() {
-        let sigs = vec![bv("00"), bv("01"), bv("11")];
+        let sigs = sm(&["00", "01", "11"]);
         let mut scratch = Vec::new();
         for obs in ["01", "0X", "10", "XX"] {
             let observed = mv(obs);
@@ -750,7 +879,7 @@ mod tests {
 
     #[test]
     fn fully_unknown_observation_is_uninformative_not_fatal() {
-        let sigs = vec![bv("00"), bv("01")];
+        let sigs = sm(&["00", "01"]);
         let r = match_signatures_masked(&sigs, &mv("XX")).unwrap();
         assert_eq!(r.candidates(), &[0, 1], "no evidence, all candidates");
         assert_eq!(r.known, 0);
@@ -901,11 +1030,14 @@ mod tests {
         for observed in [mv("01"), mv("1X"), mv("XX")] {
             let whole = d.diagnose_masked(&observed).unwrap();
             for cut in 1..d.fault_count() {
-                let lo = match_signatures_masked(&d.signatures()[..cut], &observed).unwrap();
-                let hi = match_signatures_masked(&d.signatures()[cut..], &observed).unwrap();
+                let lo = match_signatures_masked(&d.signatures().slice(0..cut), &observed).unwrap();
+                let hi =
+                    match_signatures_masked(&d.signatures().slice(cut..d.fault_count()), &observed)
+                        .unwrap();
                 let merged = merge_shard_rankings(
                     &[(0, &lo.ranking[..]), (cut, &hi.ranking[..])],
                     observed.is_fully_known(),
+                    usize::MAX,
                 )
                 .unwrap();
                 assert_eq!(merged, whole, "cut at {cut}, observed {observed:?}");
@@ -918,13 +1050,14 @@ mod tests {
         let d = PassFailDictionary::build(&paper_example());
         let observed = mv("0X");
         let whole = d.diagnose_masked(&observed).unwrap();
-        let lo = match_signatures_masked(&d.signatures()[..2], &observed).unwrap();
-        let hi = match_signatures_masked(&d.signatures()[2..], &observed).unwrap();
+        let lo = match_signatures_masked(&d.signatures().slice(0..2), &observed).unwrap();
+        let hi = match_signatures_masked(&d.signatures().slice(2..4), &observed).unwrap();
         // An empty middle shard (matched nothing) must not perturb the merge
         // or trip the known-bits consistency check.
         let merged = merge_shard_rankings(
             &[(0, &lo.ranking[..]), (2, &[][..]), (2, &hi.ranking[..])],
             observed.is_fully_known(),
+            usize::MAX,
         )
         .unwrap();
         assert_eq!(merged, whole);
@@ -942,7 +1075,7 @@ mod tests {
             [(0usize, &lo[..]), (2, &hi[..])],
             [(2, &hi[..]), (0, &lo[..])],
         ] {
-            let merged = merge_shard_rankings(&shards, true).unwrap();
+            let merged = merge_shard_rankings(&shards, true, usize::MAX).unwrap();
             let order: Vec<usize> = merged.ranking.iter().map(|s| s.fault).collect();
             assert_eq!(order, vec![0, 1, 2, 3]);
             assert_eq!(merged.best, vec![0, 1, 2, 3]);
@@ -953,19 +1086,141 @@ mod tests {
     #[test]
     fn merge_rejects_empty_and_inconsistent_shards() {
         assert!(matches!(
-            merge_shard_rankings(&[], true),
+            merge_shard_rankings(&[], true, usize::MAX),
             Err(SddError::Empty { .. })
         ));
         assert!(matches!(
-            merge_shard_rankings(&[(0, &[][..])], true),
+            merge_shard_rankings(&[(0, &[][..])], true, usize::MAX),
             Err(SddError::Empty { .. })
         ));
         let d = PassFailDictionary::build(&paper_example());
         let full = match_signatures_masked(d.signatures(), &mv("01")).unwrap();
         let masked = match_signatures_masked(d.signatures(), &mv("0X")).unwrap();
         assert!(matches!(
-            merge_shard_rankings(&[(0, &full.ranking[..]), (4, &masked.ranking[..])], false),
+            merge_shard_rankings(
+                &[(0, &full.ranking[..]), (4, &masked.ranking[..])],
+                false,
+                usize::MAX
+            ),
             Err(SddError::CountMismatch { .. })
+        ));
+    }
+
+    /// The prefix a bounded match must equal: every fault tied at the
+    /// minimum plus the first `top` of the full ranking.
+    fn prefix(full: &[ScoredCandidate], top: usize) -> &[ScoredCandidate] {
+        let ties = full
+            .iter()
+            .take_while(|c| c.mismatches == full[0].mismatches)
+            .count();
+        &full[..ties.max(top.min(full.len()))]
+    }
+
+    #[test]
+    fn bounded_selection_is_the_full_rankings_prefix() {
+        let mut rng = sdd_logic::Prng::seed_from_u64(13);
+        let mut scratch = MatchScratch::default();
+        for case in 0..300 {
+            let bits = [3usize, 64, 70][case % 3];
+            // Few distinct rows: tie-heavy.
+            let pool: Vec<BitVec> = (0..1 + case % 4)
+                .map(|_| (0..bits).map(|_| rng.gen_bool(0.5)).collect())
+                .collect();
+            let rows: Vec<BitVec> = (0..1 + rng.gen_range(0..30))
+                .map(|_| rng.choose(&pool).unwrap().clone())
+                .collect();
+            let sigs = SignatureMatrix::from_rows(bits, &rows).unwrap();
+            let mut observed =
+                MaskedBitVec::from_known((0..bits).map(|_| rng.gen_bool(0.5)).collect());
+            for t in 0..bits {
+                if rng.gen_bool(0.2) {
+                    observed.mask(t);
+                }
+            }
+            let full = match_signatures_masked(&sigs, &observed).unwrap();
+            for top in [0, 1, 2, 5, 40] {
+                let (quality, known) =
+                    match_signatures_top_into(&sigs, &observed, top, &mut scratch).unwrap();
+                assert_eq!((quality, known), (full.quality, full.known));
+                assert_eq!(
+                    scratch.ranking,
+                    prefix(&full.ranking, top),
+                    "case {case} top {top}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_merge_is_the_unsharded_prefix() {
+        let d = PassFailDictionary::build(&paper_example());
+        for observed in [mv("01"), mv("1X"), mv("XX"), mv("00")] {
+            let whole = d.diagnose_masked(&observed).unwrap();
+            for top in [0, 1, 2, 3] {
+                let mut lo = MatchScratch::default();
+                let mut hi = MatchScratch::default();
+                match_signatures_top_into(&d.signatures().slice(0..3), &observed, top, &mut lo)
+                    .unwrap();
+                match_signatures_top_into(&d.signatures().slice(3..4), &observed, top, &mut hi)
+                    .unwrap();
+                let merged = merge_shard_rankings(
+                    &[(3, &hi.ranking[..]), (0, &lo.ranking[..])],
+                    observed.is_fully_known(),
+                    top,
+                )
+                .unwrap();
+                assert_eq!(
+                    merged.ranking,
+                    prefix(&whole.ranking, top),
+                    "{observed:?} {top}"
+                );
+                assert_eq!(merged.best, whole.best);
+                assert_eq!((merged.quality, merged.known), (whole.quality, whole.known));
+            }
+        }
+    }
+
+    #[test]
+    fn full_class_scoring_matches_materialized_responses() {
+        let d = FullDictionary::new(paper_example());
+        let m = d.matrix();
+        for observed in [["01", "10"], ["1X", "X1"], ["XX", "00"], ["11", "11"]] {
+            let responses: Vec<MaskedBitVec> = observed.iter().map(|o| mv(o)).collect();
+            let report = d.diagnose_masked(&responses).unwrap();
+            assert_eq!(report.ranking.len(), m.fault_count());
+            for c in &report.ranking {
+                let expected: usize = (0..m.test_count())
+                    .map(|t| {
+                        responses[t]
+                            .distance_to(&m.response(t, m.class(t, c.fault)))
+                            .unwrap()
+                            .mismatches
+                    })
+                    .sum();
+                assert_eq!(c.mismatches, expected, "{observed:?} fault {}", c.fault);
+            }
+            let mut scratch = MatchScratch::default();
+            d.diagnose_masked_top_into(&responses, 1, &mut scratch)
+                .unwrap();
+            assert_eq!(scratch.ranking, prefix(&report.ranking, 1));
+        }
+    }
+
+    #[test]
+    fn a_zero_fault_full_dictionary_is_empty_not_exact() {
+        let good: Vec<BitVec> = vec![bv("01"), bv("10")];
+        let d = FullDictionary::new(sdd_sim::ResponseMatrix::from_responses(
+            good,
+            &[vec![], vec![]],
+        ));
+        assert_eq!(d.fault_count(), 0);
+        assert!(matches!(
+            d.diagnose_masked(&[mv("01"), mv("10")]),
+            Err(SddError::Empty { .. })
+        ));
+        assert!(matches!(
+            d.diagnose_masked_top_into(&[mv("01"), mv("10")], 5, &mut MatchScratch::default()),
+            Err(SddError::Empty { .. })
         ));
     }
 }

@@ -1,6 +1,6 @@
 //! The classic pass/fail fault dictionary.
 
-use sdd_logic::{BitVec, SddError};
+use sdd_logic::{BitVec, SddError, SignatureMatrix};
 use sdd_sim::{Partition, ResponseMatrix};
 
 use crate::DictionarySizes;
@@ -25,26 +25,22 @@ use crate::DictionarySizes;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PassFailDictionary {
-    signatures: Vec<BitVec>,
-    tests: usize,
+    signatures: SignatureMatrix,
     outputs: usize,
 }
 
 impl PassFailDictionary {
     /// Builds the dictionary from simulated responses.
     pub fn build(matrix: &ResponseMatrix) -> Self {
-        let signatures = (0..matrix.fault_count())
-            .map(|fault| {
-                (0..matrix.test_count())
-                    .map(|test| matrix.detects(test, fault))
-                    .collect()
-            })
-            .collect();
-        Self {
-            signatures,
-            tests: matrix.test_count(),
-            outputs: matrix.output_count(),
+        let mut signatures = SignatureMatrix::zeros(matrix.fault_count(), matrix.test_count());
+        for test in 0..matrix.test_count() {
+            for fault in 0..matrix.fault_count() {
+                if matrix.detects(test, fault) {
+                    signatures.set(fault, test, true);
+                }
+            }
         }
+        Self::from_matrix(signatures, matrix.output_count())
     }
 
     /// Reassembles a dictionary from stored signature rows, as the binary
@@ -59,45 +55,52 @@ impl PassFailDictionary {
         tests: usize,
         outputs: usize,
     ) -> Result<Self, SddError> {
-        if let Some(bad) = signatures.iter().find(|s| s.len() != tests) {
-            return Err(SddError::WidthMismatch {
-                context: "stored pass/fail signature width",
-                expected: tests,
-                actual: bad.len(),
-            });
-        }
-        Ok(Self {
-            signatures,
-            tests,
+        Ok(Self::from_matrix(
+            SignatureMatrix::from_rows(tests, &signatures)?,
             outputs,
-        })
+        ))
+    }
+
+    /// Wraps an already-packed signature matrix (one row per fault, one
+    /// bit per test) — how the binary store and shard slicing hand rows
+    /// over without unpacking them.
+    pub fn from_matrix(signatures: SignatureMatrix, outputs: usize) -> Self {
+        Self {
+            signatures,
+            outputs,
+        }
     }
 
     /// Number of faults `n`.
     pub fn fault_count(&self) -> usize {
-        self.signatures.len()
+        self.signatures.rows()
     }
 
     /// Number of tests `k`.
     pub fn test_count(&self) -> usize {
-        self.tests
+        self.signatures.bits()
     }
 
-    /// The detection signature of fault `i`: one bit per test.
-    pub fn signature(&self, fault: usize) -> &BitVec {
-        &self.signatures[fault]
+    /// The detection signature of fault `i`, one bit per test, unpacked
+    /// into an owned vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fault >= self.fault_count()`.
+    pub fn signature(&self, fault: usize) -> BitVec {
+        self.signatures.to_bitvec(fault)
     }
 
-    /// All signatures, indexed by fault.
-    pub fn signatures(&self) -> &[BitVec] {
+    /// All signatures: row `i` is fault `i`.
+    pub fn signatures(&self) -> &SignatureMatrix {
         &self.signatures
     }
 
     /// Storage accounting per the paper.
     pub fn sizes(&self) -> DictionarySizes {
         DictionarySizes::new(
-            self.tests as u64,
-            self.signatures.len() as u64,
+            self.test_count() as u64,
+            self.fault_count() as u64,
             self.outputs as u64,
         )
     }
@@ -109,9 +112,9 @@ impl PassFailDictionary {
 
     /// The partition of faults into signature-equal groups.
     pub fn partition(&self) -> Partition {
-        let mut p = Partition::unit(self.signatures.len());
-        for test in 0..self.tests {
-            p.refine_bits(|i| self.signatures[i].bit(test));
+        let mut p = Partition::unit(self.fault_count());
+        for test in 0..self.test_count() {
+            p.refine_bits(|i| self.signatures.bit(i, test));
         }
         p
     }
@@ -130,7 +133,9 @@ mod tests {
     #[test]
     fn example_signatures_match_table2() {
         let d = PassFailDictionary::build(&paper_example());
-        let rows: Vec<String> = d.signatures().iter().map(|s| s.to_string()).collect();
+        let rows: Vec<String> = (0..d.fault_count())
+            .map(|f| d.signature(f).to_string())
+            .collect();
         assert_eq!(rows, ["01", "10", "11", "11"]);
         assert_eq!(d.fault_count(), 4);
         assert_eq!(d.test_count(), 2);

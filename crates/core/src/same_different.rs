@@ -1,6 +1,6 @@
 //! The same/different fault dictionary — the paper's contribution.
 
-use sdd_logic::{BitVec, MaskedBitVec, SddError};
+use sdd_logic::{BitVec, MaskedBitVec, SddError, SignatureMatrix};
 use sdd_sim::{Partition, ResponseMatrix};
 
 use crate::DictionarySizes;
@@ -32,7 +32,7 @@ use crate::DictionarySizes;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SameDifferentDictionary {
-    signatures: Vec<BitVec>,
+    signatures: SignatureMatrix,
     baselines: Vec<BitVec>,
     baseline_classes: Vec<u32>,
     outputs: usize,
@@ -57,13 +57,14 @@ impl SameDifferentDictionary {
             .enumerate()
             .map(|(test, &class)| matrix.response(test, class))
             .collect();
-        let signatures = (0..matrix.fault_count())
-            .map(|fault| {
-                (0..matrix.test_count())
-                    .map(|test| matrix.class(test, fault) != baselines[test])
-                    .collect()
-            })
-            .collect();
+        let mut signatures = SignatureMatrix::zeros(matrix.fault_count(), matrix.test_count());
+        for (test, &baseline) in baselines.iter().enumerate() {
+            for (fault, &class) in matrix.classes(test).iter().enumerate() {
+                if class != baseline {
+                    signatures.set(fault, test, true);
+                }
+            }
+        }
         Self {
             signatures,
             baselines: baseline_vectors,
@@ -87,6 +88,23 @@ impl SameDifferentDictionary {
         baseline_classes: Vec<u32>,
         outputs: usize,
     ) -> Result<Self, SddError> {
+        let signatures = SignatureMatrix::from_rows(baselines.len(), &signatures)?;
+        Self::from_matrix(signatures, baselines, baseline_classes, outputs)
+    }
+
+    /// [`from_parts`](Self::from_parts) over an already-packed signature
+    /// matrix (one row per fault, one bit per test) — how the binary store
+    /// and shard slicing hand rows over without unpacking them.
+    ///
+    /// # Errors
+    ///
+    /// As [`from_parts`](Self::from_parts).
+    pub fn from_matrix(
+        signatures: SignatureMatrix,
+        baselines: Vec<BitVec>,
+        baseline_classes: Vec<u32>,
+        outputs: usize,
+    ) -> Result<Self, SddError> {
         if baselines.len() != baseline_classes.len() {
             return Err(SddError::CountMismatch {
                 context: "baseline classes per baseline vector",
@@ -101,11 +119,11 @@ impl SameDifferentDictionary {
                 actual: bad.len(),
             });
         }
-        if let Some(bad) = signatures.iter().find(|s| s.len() != baselines.len()) {
+        if signatures.bits() != baselines.len() {
             return Err(SddError::WidthMismatch {
                 context: "stored same/different signature width",
                 expected: baselines.len(),
-                actual: bad.len(),
+                actual: signatures.bits(),
             });
         }
         Ok(Self {
@@ -124,7 +142,7 @@ impl SameDifferentDictionary {
 
     /// Number of faults `n`.
     pub fn fault_count(&self) -> usize {
-        self.signatures.len()
+        self.signatures.rows()
     }
 
     /// Number of tests `k`.
@@ -132,13 +150,18 @@ impl SameDifferentDictionary {
         self.baselines.len()
     }
 
-    /// The same/different signature of fault `i`: one bit per test.
-    pub fn signature(&self, fault: usize) -> &BitVec {
-        &self.signatures[fault]
+    /// The same/different signature of fault `i`, one bit per test,
+    /// unpacked into an owned vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fault >= self.fault_count()`.
+    pub fn signature(&self, fault: usize) -> BitVec {
+        self.signatures.to_bitvec(fault)
     }
 
-    /// All signatures, indexed by fault.
-    pub fn signatures(&self) -> &[BitVec] {
+    /// All signatures: row `i` is fault `i`.
+    pub fn signatures(&self) -> &SignatureMatrix {
         &self.signatures
     }
 
@@ -163,7 +186,7 @@ impl SameDifferentDictionary {
     pub fn sizes(&self) -> DictionarySizes {
         DictionarySizes::new(
             self.baselines.len() as u64,
-            self.signatures.len() as u64,
+            self.fault_count() as u64,
             self.outputs as u64,
         )
     }
@@ -245,9 +268,9 @@ impl SameDifferentDictionary {
 
     /// The partition of faults into signature-equal groups.
     pub fn partition(&self) -> Partition {
-        let mut p = Partition::unit(self.signatures.len());
+        let mut p = Partition::unit(self.fault_count());
         for test in 0..self.baselines.len() {
-            p.refine_bits(|i| self.signatures[i].bit(test));
+            p.refine_bits(|i| self.signatures.bit(i, test));
         }
         p
     }
@@ -267,7 +290,9 @@ mod tests {
     #[test]
     fn example_signatures_match_table3() {
         let d = SameDifferentDictionary::build(&paper_example(), &[2, 1]);
-        let rows: Vec<String> = d.signatures().iter().map(|s| s.to_string()).collect();
+        let rows: Vec<String> = (0..d.fault_count())
+            .map(|f| d.signature(f).to_string())
+            .collect();
         // Table 3: f0=10, f1=11, f2=00, f3=01.
         assert_eq!(rows, ["10", "11", "00", "01"]);
         assert_eq!(d.indistinguished_pairs(), 0);
@@ -308,7 +333,7 @@ mod tests {
             let responses: Vec<BitVec> = (0..matrix.test_count())
                 .map(|t| matrix.response(t, matrix.class(t, fault)))
                 .collect();
-            assert_eq!(d.encode_observed(&responses).unwrap(), *d.signature(fault));
+            assert_eq!(d.encode_observed(&responses).unwrap(), d.signature(fault));
         }
     }
 

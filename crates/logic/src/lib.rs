@@ -8,6 +8,9 @@
 //!   input patterns and output responses. Output responses are the currency
 //!   of fault dictionaries: a dictionary entry is ultimately a statement about
 //!   whether two [`BitVec`]s are equal.
+//! * [`SignatureMatrix`] — a dictionary's signature rows packed row-major in
+//!   one word buffer, with the allocation-free masked scoring kernel that
+//!   diagnosis scans it with.
 //! * [`PatternBlock`] — a block of up to 64 patterns transposed into one
 //!   machine word per signal, the representation behind parallel-pattern
 //!   fault simulation (PPSFP).
@@ -39,6 +42,7 @@ mod block;
 mod error;
 mod fivev;
 mod masked;
+mod matrix;
 mod rng;
 
 pub use bitvec::{BitVec, Iter, ParseBitVecError};
@@ -46,4 +50,5 @@ pub use block::{PatternBlock, LANES};
 pub use error::SddError;
 pub use fivev::V5;
 pub use masked::{MaskedBitVec, MaskedDistance};
+pub use matrix::SignatureMatrix;
 pub use rng::{Prng, SampleRange};

@@ -167,8 +167,13 @@ impl MaskedBitVec {
                 actual: other.len(),
             });
         }
-        let diff = &self.bits ^ other;
-        let mismatches = (&diff & &self.known).count_ones();
+        let mismatches = self
+            .bits
+            .as_words()
+            .zip(other.as_words())
+            .zip(self.known.as_words())
+            .map(|((value, stored), known)| ((value ^ stored) & known).count_ones() as usize)
+            .sum();
         Ok(MaskedDistance {
             mismatches,
             known: self.known_count(),
@@ -223,26 +228,37 @@ impl fmt::Debug for MaskedBitVec {
 impl FromStr for MaskedBitVec {
     type Err = SddError;
 
+    /// One pass over the bytes, writing value and known words directly.
+    /// Every accepted character is ASCII, so the byte index of the first
+    /// rejected one is also its character position.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut v = MaskedBitVec::unknown(0);
-        for (position, c) in s.chars().enumerate() {
-            v.bits.push(false);
-            v.known.push(false);
-            match c {
-                '0' => v.set_known(position, false),
-                '1' => v.set_known(position, true),
-                'x' | 'X' | '-' => {}
-                offending => {
+        let words = s.len().div_ceil(64);
+        let mut bits = vec![0u64; words];
+        let mut known = vec![0u64; words];
+        for (position, byte) in s.bytes().enumerate() {
+            let mask = 1u64 << (position % 64);
+            match byte {
+                b'0' => known[position / 64] |= mask,
+                b'1' => {
+                    bits[position / 64] |= mask;
+                    known[position / 64] |= mask;
+                }
+                b'x' | b'X' | b'-' => {}
+                _ => {
+                    let offending = s[position..].chars().next().unwrap_or('\u{fffd}');
                     return Err(SddError::Parse {
                         line: 0,
                         message: format!(
                             "invalid masked bit character {offending:?} at position {position}"
                         ),
-                    })
+                    });
                 }
             }
         }
-        Ok(v)
+        Ok(Self {
+            bits: BitVec::from_words(bits, s.len())?,
+            known: BitVec::from_words(known, s.len())?,
+        })
     }
 }
 
@@ -358,6 +374,78 @@ mod tests {
             MaskedBitVec::from_parts(bv("10"), bv("1")),
             Err(SddError::WidthMismatch { .. })
         ));
+    }
+
+    /// The original parser: two pushes plus `set_known` per character.
+    fn parse_char_by_char(s: &str) -> Result<MaskedBitVec, SddError> {
+        let mut v = MaskedBitVec::unknown(0);
+        for (position, c) in s.chars().enumerate() {
+            v.bits.push(false);
+            v.known.push(false);
+            match c {
+                '0' => v.set_known(position, false),
+                '1' => v.set_known(position, true),
+                'x' | 'X' | '-' => {}
+                offending => {
+                    return Err(SddError::Parse {
+                        line: 0,
+                        message: format!(
+                            "invalid masked bit character {offending:?} at position {position}"
+                        ),
+                    })
+                }
+            }
+        }
+        Ok(v)
+    }
+
+    #[test]
+    fn word_parse_matches_the_char_by_char_parse_at_every_width() {
+        let mut rng = crate::Prng::seed_from_u64(0x5eed);
+        let alphabet = ['0', '1', 'x', 'X', '-'];
+        for width in 0..=130 {
+            for _ in 0..4 {
+                let s: String = (0..width)
+                    .map(|_| *rng.choose(&alphabet).unwrap())
+                    .collect();
+                let fast: MaskedBitVec = s.parse().unwrap();
+                let slow = parse_char_by_char(&s).unwrap();
+                assert_eq!(fast, slow, "{s:?}");
+                assert_eq!(fast.known_count(), slow.known_count());
+                assert_eq!(fast.to_string(), slow.to_string());
+                // A rejected character reports the same message.
+                if width > 0 {
+                    let at = rng.gen_range(0..width);
+                    for bad in ['?', 'é', '2'] {
+                        let mut chars: Vec<char> = s.chars().collect();
+                        chars[at] = bad;
+                        let bad: String = chars.into_iter().collect();
+                        assert_eq!(bad.parse::<MaskedBitVec>(), parse_char_by_char(&bad));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_distance_matches_the_bitwise_definition_across_words() {
+        let mut rng = crate::Prng::seed_from_u64(3);
+        for width in [1usize, 63, 64, 65, 127, 128, 129] {
+            let value: BitVec = (0..width).map(|_| rng.gen_bool(0.5)).collect();
+            let stored: BitVec = (0..width).map(|_| rng.gen_bool(0.5)).collect();
+            let mut observed = MaskedBitVec::from_known(value.clone());
+            for t in 0..width {
+                if rng.gen_bool(0.25) {
+                    observed.mask(t);
+                }
+            }
+            let expected = (0..width)
+                .filter(|&t| observed.bit(t).is_some_and(|b| b != stored.bit(t)))
+                .count();
+            let d = observed.distance_to(&stored).unwrap();
+            assert_eq!(d.mismatches, expected, "width {width}");
+            assert_eq!(d.known, observed.known_count());
+        }
     }
 
     #[test]

@@ -326,7 +326,9 @@ impl ResponseMatrix {
     ///
     /// Returns [`SddError`](sdd_logic::SddError) when the parts are
     /// inconsistent: ragged class rows, class labels out of range, response
-    /// widths exceeding `output_count`, or a non-empty class-0 diff list.
+    /// widths exceeding `output_count`, a non-empty class-0 diff list, or a
+    /// diff list that is not strictly increasing (a repeated position would
+    /// toggle an output back).
     pub fn from_class_parts(
         good: Vec<BitVec>,
         fault_count: usize,
@@ -367,6 +369,11 @@ impl ResponseMatrix {
                 if diffs.iter().any(|&pos| pos as usize >= output_count) {
                     return Err(SddError::invalid(format!(
                         "test {test}: diff position out of range ({output_count} outputs)"
+                    )));
+                }
+                if diffs.windows(2).any(|pair| pair[0] >= pair[1]) {
+                    return Err(SddError::invalid(format!(
+                        "test {test}: diff positions not strictly increasing"
                     )));
                 }
             }
@@ -648,6 +655,18 @@ mod tests {
         // Diff position beyond the output count.
         let mut bad_distinct = distinct.clone();
         bad_distinct[0].last_mut().unwrap().push(99);
+        assert!(ResponseMatrix::from_class_parts(
+            good.clone(),
+            m.fault_count(),
+            m.output_count(),
+            classes.clone(),
+            bad_distinct,
+        )
+        .is_err());
+        // A repeated diff position (it would toggle the output back).
+        let mut bad_distinct = distinct.clone();
+        let last = bad_distinct[0].last_mut().unwrap();
+        last.push(*last.last().unwrap());
         assert!(ResponseMatrix::from_class_parts(
             good.clone(),
             m.fault_count(),

@@ -245,13 +245,19 @@ impl<'a> Cursor<'a> {
 
     /// Reads a bit row of `bits` logical bits stored as packed words.
     pub(crate) fn bit_row(&mut self, bits: usize) -> Result<BitVec, SddError> {
-        let words = bits.div_ceil(64);
-        let raw = self.take(checked_mul(words, 8, "bit row length")?)?;
-        let words: Vec<u64> = raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
+        let mut words = Vec::new();
+        self.words_into(bits.div_ceil(64), &mut words)?;
         BitVec::from_words(words, bits)
+    }
+
+    /// Appends `count` little-endian `u64` words to `out`.
+    pub(crate) fn words_into(&mut self, count: usize, out: &mut Vec<u64>) -> Result<(), SddError> {
+        let raw = self.take(checked_mul(count, 8, "bit row length")?)?;
+        out.extend(
+            raw.chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().unwrap())),
+        );
+        Ok(())
     }
 }
 

@@ -352,7 +352,7 @@ mod tests {
         let reader = SddbReader::open(&bytes).unwrap();
         assert_eq!(reader.kind(), DictionaryKind::SameDifferent);
         for fault in 0..d.fault_count() {
-            assert_eq!(reader.signature(fault).unwrap(), *d.signature(fault));
+            assert_eq!(reader.signature(fault).unwrap(), d.signature(fault));
         }
         for test in 0..d.test_count() {
             assert_eq!(reader.baseline(test).unwrap(), *d.baseline(test));

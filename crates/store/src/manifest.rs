@@ -312,15 +312,14 @@ pub fn slice_dictionary(
     }
     match dictionary {
         StoredDictionary::PassFail(d) => Ok(StoredDictionary::PassFail(
-            sdd_core::PassFailDictionary::from_parts(
-                d.signatures()[range].to_vec(),
-                d.test_count(),
+            sdd_core::PassFailDictionary::from_matrix(
+                d.signatures().slice(range),
                 d.sizes().outputs as usize,
-            )?,
+            ),
         )),
         StoredDictionary::SameDifferent(d) => Ok(StoredDictionary::SameDifferent(
-            sdd_core::SameDifferentDictionary::from_parts(
-                d.signatures()[range].to_vec(),
+            sdd_core::SameDifferentDictionary::from_matrix(
+                d.signatures().slice(range),
                 (0..d.test_count()).map(|t| d.baseline(t).clone()).collect(),
                 d.baseline_classes().to_vec(),
                 d.sizes().outputs as usize,

@@ -389,7 +389,7 @@ mod tests {
     fn column_patch(to: &SameDifferentDictionary, test: usize) -> SdColumnPatch {
         let mut column = BitVec::zeros(to.fault_count());
         for fault in 0..to.fault_count() {
-            column.set(fault, to.signature(fault).bit(test));
+            column.set(fault, to.signatures().bit(fault, test));
         }
         SdColumnPatch {
             test,
@@ -470,8 +470,8 @@ mod tests {
         else {
             panic!("kind preserved");
         };
-        let mut signatures: Vec<_> = (0..2).map(|f| s0.signature(f).clone()).collect();
-        signatures.extend((0..2).map(|f| s1.signature(f).clone()));
+        let mut signatures: Vec<_> = (0..2).map(|f| s0.signature(f)).collect();
+        signatures.extend((0..2).map(|f| s1.signature(f)));
         let reassembled = SameDifferentDictionary::from_parts(
             signatures,
             (0..2).map(|t| s0.baseline(t).clone()).collect(),

@@ -1,7 +1,7 @@
 //! Validated, lazily-indexed access to a `.sddb` byte image.
 
 use sdd_core::{FullDictionary, PassFailDictionary, SameDifferentDictionary};
-use sdd_logic::{BitVec, SddError};
+use sdd_logic::{BitVec, SddError, SignatureMatrix};
 use sdd_sim::ResponseMatrix;
 
 use crate::format::{self, checked_add, checked_mul, Cursor, Header, HEADER_LEN};
@@ -30,7 +30,7 @@ use crate::{DictionaryKind, StoredDictionary};
 /// let bytes = encode(&StoredDictionary::PassFail(d.clone())).unwrap();
 /// let reader = SddbReader::open(&bytes)?;
 /// assert_eq!(reader.faults(), 4);
-/// assert_eq!(reader.signature(2)?, *d.signature(2)); // lazy row load
+/// assert_eq!(reader.signature(2)?, d.signature(2)); // lazy row load
 /// # Ok::<(), sdd_logic::SddError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -237,12 +237,9 @@ impl<B: AsRef<[u8]>> SddbReader<B> {
     pub fn dictionary(&self) -> Result<StoredDictionary, SddError> {
         let h = &self.header;
         match h.kind {
-            DictionaryKind::PassFail => {
-                let signatures = self.signature_rows()?;
-                Ok(StoredDictionary::PassFail(PassFailDictionary::from_parts(
-                    signatures, h.tests, h.outputs,
-                )?))
-            }
+            DictionaryKind::PassFail => Ok(StoredDictionary::PassFail(
+                PassFailDictionary::from_matrix(self.signature_matrix()?, h.outputs),
+            )),
             DictionaryKind::SameDifferent => {
                 let mut cursor = Cursor::new(self.payload(), "baseline classes");
                 let mut classes = Vec::with_capacity(guarded_count(h.tests, 4, &cursor)?);
@@ -255,9 +252,11 @@ impl<B: AsRef<[u8]>> SddbReader<B> {
                 for _ in 0..h.tests {
                     baselines.push(cursor.bit_row(h.outputs)?);
                 }
-                let signatures = self.signature_rows()?;
+                let signatures = self.signature_matrix()?;
                 Ok(StoredDictionary::SameDifferent(
-                    SameDifferentDictionary::from_parts(signatures, baselines, classes, h.outputs)?,
+                    SameDifferentDictionary::from_matrix(
+                        signatures, baselines, classes, h.outputs,
+                    )?,
                 ))
             }
             DictionaryKind::Full => self.full_dictionary(),
@@ -347,19 +346,26 @@ impl<B: AsRef<[u8]>> SddbReader<B> {
         Ok(())
     }
 
-    /// Reads every signature row through the row index.
-    fn signature_rows(&self) -> Result<Vec<BitVec>, SddError> {
+    /// Reads every signature row through the row index, packing the rows
+    /// straight into one row-major matrix (no per-row allocation).
+    fn signature_matrix(&self) -> Result<SignatureMatrix, SddError> {
+        let h = &self.header;
         let index_start = self.row_index_start()?;
         let mut index = Cursor::new(self.payload(), "signature row index");
         index.seek(index_start);
-        let mut rows = Vec::with_capacity(guarded_count(self.header.faults, 8, &index)?);
-        for _ in 0..self.header.faults {
+        guarded_count(h.faults, 8, &index)?;
+        let stride = h.tests.div_ceil(64);
+        // Every row lies inside the payload, so the payload bounds the
+        // up-front reservation whatever the header declares.
+        let total = checked_mul(h.faults, stride, "signature matrix words")?;
+        let mut words = Vec::with_capacity(total.min(self.payload().len() / 8));
+        for _ in 0..h.faults {
             let offset = self.offset(index.u64()?)?;
             let mut row = Cursor::new(self.payload(), "signature row");
             row.seek(offset);
-            rows.push(row.bit_row(self.header.tests)?);
+            row.words_into(stride, &mut words)?;
         }
-        Ok(rows)
+        SignatureMatrix::from_words(words, h.faults, h.tests)
     }
 
     fn full_dictionary(&self) -> Result<StoredDictionary, SddError> {

@@ -22,7 +22,7 @@
 //! truncate what the read side would then faithfully mis-serve.
 
 use sdd_core::{FullDictionary, PassFailDictionary, SameDifferentDictionary};
-use sdd_logic::SddError;
+use sdd_logic::{SddError, SignatureMatrix};
 
 use crate::format::{
     checked_add, checked_mul, push_bit_row, push_u32, push_u64, Header, HEADER_LEN,
@@ -104,15 +104,21 @@ fn push_row_index(
     Ok(())
 }
 
+/// Appends every signature row, fault order. The matrix is row-major with
+/// zeroed tails, so its word image *is* the v1 row section.
+fn push_signature_rows(out: &mut Vec<u8>, signatures: &SignatureMatrix) {
+    for &word in signatures.words() {
+        push_u64(out, word);
+    }
+}
+
 fn pass_fail_payload(d: &PassFailDictionary) -> Result<Vec<u8>, SddError> {
     let n = d.fault_count();
     let row_bytes = d.test_count().div_ceil(64) * 8;
     let index_bytes = checked_mul(n, 8, "row index length")?;
     let mut out = Vec::with_capacity(index_bytes + n * row_bytes);
     push_row_index(&mut out, n, index_bytes, row_bytes)?;
-    for fault in 0..n {
-        push_bit_row(&mut out, d.signature(fault));
-    }
+    push_signature_rows(&mut out, d.signatures());
     Ok(out)
 }
 
@@ -139,9 +145,7 @@ fn same_different_payload(d: &SameDifferentDictionary) -> Result<Vec<u8>, SddErr
         push_bit_row(&mut out, d.baseline(test));
     }
     push_row_index(&mut out, n, rows_start, row_bytes)?;
-    for fault in 0..n {
-        push_bit_row(&mut out, d.signature(fault));
-    }
+    push_signature_rows(&mut out, d.signatures());
     Ok(out)
 }
 

@@ -30,8 +30,9 @@ use crate::corpus::{parse_line, Observation, Parsed, Shape, SkipReason};
 use crate::shard::{diagnose_sharded, ShardObservation};
 use crate::source::ShardSource;
 
-/// Candidates shown per device record (matching the serve `top=` field).
-pub const TOP_CANDIDATES: usize = 5;
+/// Candidates shown per device record (matching the serve `top=` field) —
+/// the ranking prefix [`diagnose_sharded`] keeps beyond the best-tied set.
+pub use sdd_core::diagnose::TOP_CANDIDATES;
 /// Best-set entries shown per device record; the full tie count is always
 /// reported as `nbest`.
 pub const BEST_SHOWN: usize = 8;

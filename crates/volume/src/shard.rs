@@ -34,7 +34,8 @@
 //! ```
 
 use sdd_core::diagnose::{
-    match_signatures_masked_into, merge_shard_rankings, NoisyDiagnosisReport, ScoredCandidate,
+    match_signatures_top_into, merge_shard_rankings, MatchScratch, NoisyDiagnosisReport,
+    ScoredCandidate, TOP_CANDIDATES,
 };
 use sdd_logic::{BitVec, MaskedBitVec, SddError};
 use sdd_store::StoredDictionary;
@@ -56,9 +57,14 @@ pub enum ShardObservation<'a> {
 /// rankings into a single globally-ranked [`NoisyDiagnosisReport`] whose
 /// candidate indices are global fault positions.
 ///
-/// For shards produced by slicing one dictionary into ranges that tile the
-/// fault list, the result is bit-identical to diagnosing the unsharded
-/// dictionary (same ranking, same best set, same quality ladder rung).
+/// Each shard is ranked bounded — its best-tied set plus its first
+/// [`TOP_CANDIDATES`] — and the merge trims the union to the same prefix
+/// of the global ranking: every fault tied at the global minimum plus the
+/// first [`TOP_CANDIDATES`]. For shards produced by slicing one dictionary
+/// into ranges that tile the fault list, the result is bit-identical to
+/// diagnosing the unsharded dictionary the same way (same ranking prefix,
+/// same best set, same quality ladder rung), and its `best` set and first
+/// [`TOP_CANDIDATES`] entries equal the whole `diagnose_masked` ranking's.
 ///
 /// # Errors
 ///
@@ -74,6 +80,7 @@ pub fn diagnose_sharded(
             context: "dictionary shards",
         });
     };
+    let mut scratch = MatchScratch::default();
     let mut rankings: Vec<(usize, Vec<ScoredCandidate>)> = Vec::with_capacity(shards.len());
     let fully_known = match (observation, first) {
         (ShardObservation::Signature(observed), StoredDictionary::PassFail(_)) => {
@@ -81,9 +88,8 @@ pub fn diagnose_sharded(
                 let StoredDictionary::PassFail(d) = shard else {
                     return Err(SddError::invalid("shards mix dictionary kinds"));
                 };
-                let mut ranking = Vec::new();
-                match_signatures_masked_into(d.signatures(), observed, &mut ranking)?;
-                rankings.push((offset, ranking));
+                match_signatures_top_into(d.signatures(), observed, TOP_CANDIDATES, &mut scratch)?;
+                rankings.push((offset, std::mem::take(&mut scratch.ranking)));
             }
             observed.is_fully_known()
         }
@@ -95,9 +101,8 @@ pub fn diagnose_sharded(
                 let StoredDictionary::SameDifferent(d) = shard else {
                     return Err(SddError::invalid("shards mix dictionary kinds"));
                 };
-                let mut ranking = Vec::new();
-                match_signatures_masked_into(d.signatures(), &encoded, &mut ranking)?;
-                rankings.push((offset, ranking));
+                match_signatures_top_into(d.signatures(), &encoded, TOP_CANDIDATES, &mut scratch)?;
+                rankings.push((offset, std::mem::take(&mut scratch.ranking)));
             }
             encoded.is_fully_known()
         }
@@ -106,7 +111,8 @@ pub fn diagnose_sharded(
                 let StoredDictionary::Full(d) = shard else {
                     return Err(SddError::invalid("shards mix dictionary kinds"));
                 };
-                rankings.push((offset, d.diagnose_masked(responses)?.ranking));
+                d.diagnose_masked_top_into(responses, TOP_CANDIDATES, &mut scratch)?;
+                rankings.push((offset, std::mem::take(&mut scratch.ranking)));
             }
             responses.iter().all(MaskedBitVec::is_fully_known)
         }
@@ -126,7 +132,7 @@ pub fn diagnose_sharded(
         .iter()
         .map(|(offset, ranking)| (*offset, ranking.as_slice()))
         .collect();
-    merge_shard_rankings(&slices, fully_known)
+    merge_shard_rankings(&slices, fully_known, TOP_CANDIDATES)
 }
 
 /// The failing outputs of an observation: bit `o` is set when any test's
@@ -205,7 +211,7 @@ mod tests {
         let mut responses: Vec<MaskedBitVec> = (0..d.test_count())
             .map(|t| {
                 let mut r = MaskedBitVec::from_known(d.baseline(t).clone());
-                if d.signature(2).bit(t) {
+                if d.signatures().bit(2, t) {
                     r.flip(0);
                 }
                 r

@@ -131,7 +131,7 @@ fn load_artifact(path: &Path) -> Result<SameDifferentDictionary, SddError> {
             classes = shard.baseline_classes().to_vec();
         }
         for fault in 0..shard.fault_count() {
-            signatures.push(shard.signature(fault).clone());
+            signatures.push(shard.signature(fault));
         }
     }
     SameDifferentDictionary::from_parts(signatures, baselines, classes, manifest.outputs)
@@ -257,7 +257,7 @@ pub fn patch_dictionary(
             let class = old_dirty.class(test, local);
             let differs = *differs[class as usize]
                 .get_or_insert_with(|| old_dirty.response(test, class) != *baseline);
-            let stored = dictionary.signature(global).bit(test);
+            let stored = dictionary.signatures().bit(global, test);
             if stored != differs {
                 return Err(SddError::invalid(format!(
                     "artifact disagrees with the old netlist at test {test}, fault {global}: \
@@ -321,7 +321,7 @@ pub fn patch_dictionary(
         set
     };
     for test in (0..k).filter(|&t| !touched_set[t]) {
-        fixed.refine_bits(|fault| dictionary.signature(fault).bit(test));
+        fixed.refine_bits(|fault| dictionary.signatures().bit(fault, test));
     }
     let outcome = refresh_baselines_budgeted(&matrix, &fixed, &mut baselines, &options.budget);
     report.indistinguished_pairs = Some(outcome.indistinguished_pairs);

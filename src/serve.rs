@@ -99,13 +99,14 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sdd_core::diagnose::{match_signatures_masked_into, MatchQuality, ScoredCandidate};
+use sdd_core::diagnose::{
+    match_signatures_top_into, MatchQuality, MatchScratch, ScoredCandidate, TOP_CANDIDATES,
+};
 use sdd_core::Budget;
 use sdd_logic::{BitVec, MaskedBitVec, SddError};
 use sdd_store::{DictBytes, DictionaryKind, MmapMode, SddbReader, ShardedReader, StoredDictionary};
 use sdd_volume::{
     error_token, quality_name, FetchError, ShardSource, VolumeOptions, WholeSource, WireSink,
-    TOP_CANDIDATES,
 };
 
 use crate::shard::{self, ShardObservation};
@@ -849,11 +850,12 @@ pub fn serve(config: &ServeConfig) -> Result<ServerHandle, SddError> {
     })
 }
 
-/// Per-worker reusable buffers: the ranked-candidate scratch the masked
-/// matcher fills and the parsed per-test responses of the current request.
+/// Per-worker reusable buffers: the bounded matcher's mismatch counts and
+/// ranking prefix, and the parsed per-test responses of the current
+/// request.
 #[derive(Default)]
 pub(crate) struct Scratch {
-    ranking: Vec<ScoredCandidate>,
+    matches: MatchScratch,
     responses: Vec<MaskedBitVec>,
 }
 
@@ -1475,32 +1477,30 @@ pub(crate) fn execute_volume(
 }
 
 /// Routes one observation through the masked-diagnosis ladder of the named
-/// dictionary kind, reusing the worker's scratch buffers.
+/// dictionary kind, reusing the worker's scratch buffers. Scoring is
+/// bounded: only the reply's best-tied set and top candidates are ranked.
 fn diagnose(
     dictionary: &StoredDictionary,
     obs: &str,
     scratch: &mut Scratch,
 ) -> Result<String, SddError> {
-    match dictionary {
+    let matches = &mut scratch.matches;
+    let (quality, known) = match dictionary {
         StoredDictionary::PassFail(d) => {
             let observed: MaskedBitVec = obs.parse()?;
-            let (quality, known) =
-                match_signatures_masked_into(d.signatures(), &observed, &mut scratch.ranking)?;
-            Ok(format_report(quality, known, &scratch.ranking))
+            match_signatures_top_into(d.signatures(), &observed, TOP_CANDIDATES, matches)?
         }
         StoredDictionary::SameDifferent(d) => {
             parse_responses(obs, &mut scratch.responses)?;
             let observed = d.encode_observed_masked(&scratch.responses)?;
-            let (quality, known) =
-                match_signatures_masked_into(d.signatures(), &observed, &mut scratch.ranking)?;
-            Ok(format_report(quality, known, &scratch.ranking))
+            match_signatures_top_into(d.signatures(), &observed, TOP_CANDIDATES, matches)?
         }
         StoredDictionary::Full(d) => {
             parse_responses(obs, &mut scratch.responses)?;
-            let report = d.diagnose_masked(&scratch.responses)?;
-            Ok(format_report(report.quality, report.known, &report.ranking))
+            d.diagnose_masked_top_into(&scratch.responses, TOP_CANDIDATES, matches)?
         }
-    }
+    };
+    Ok(format_report(quality, known, &matches.ranking))
 }
 
 /// Parses `01X/1X0/...` into the reusable per-test response buffer.

@@ -125,7 +125,7 @@ fn load_sharded_sd(manifest: &Path, mode: MmapMode) -> SameDifferentDictionary {
             classes = shard.baseline_classes().to_vec();
         }
         for fault in 0..shard.fault_count() {
-            signatures.push(shard.signature(fault).clone());
+            signatures.push(shard.signature(fault));
         }
     }
     let outputs = reader.manifest().outputs;

@@ -207,6 +207,40 @@ fn protocol_edge_cases_are_typed_errors() {
 }
 
 #[test]
+fn zero_fault_full_dictionary_answers_err_not_exact() {
+    let dir = std::env::temp_dir().join(format!("sdd-serve-empty-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // Two tests, two outputs, no faults at all.
+    let good: Vec<same_different::logic::BitVec> =
+        vec!["01".parse().unwrap(), "10".parse().unwrap()];
+    let matrix = same_different::sim::ResponseMatrix::from_responses(good, &[vec![], vec![]]);
+    let path = dir.join("empty.sddb");
+    let stored = StoredDictionary::Full(same_different::dict::FullDictionary::new(matrix));
+    save(&path, &stored).unwrap();
+    assert_eq!(same_different::store::load(&path).unwrap(), stored);
+
+    let handle = serve(&ServeConfig {
+        workers: 1,
+        ..Default::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let reply = client
+        .request(&format!("LOAD empty {}", path.display()))
+        .unwrap();
+    assert!(reply.starts_with("OK LOADED"), "{reply}");
+    // Four known bits and nothing to match them against: an error, never
+    // an exact match with an empty best set.
+    let reply = client.request("DIAG empty 01/10").unwrap();
+    assert!(reply.starts_with("ERR "), "{reply}");
+    assert!(reply.contains("empty"), "{reply}");
+
+    handle.shutdown();
+    handle.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn panicked_request_does_not_wedge_the_server() {
     // Opt into the deliberate-panic verb for this test binary.
     std::env::set_var("SDD_SERVE_TEST_PANIC", "1");

@@ -78,7 +78,7 @@ fn lazy_row_loads_agree_with_full_decodes() {
     for fault in 0..suite.same_different.fault_count() {
         assert_eq!(
             reader.signature(fault).unwrap(),
-            *suite.same_different.signature(fault)
+            suite.same_different.signature(fault)
         );
     }
     for test in 0..suite.same_different.test_count() {
