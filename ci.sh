@@ -62,10 +62,18 @@ step "dictionary build bench (serial vs parallel, JSON)"
 # report (speedup itself is host-dependent and not gated). The ECO patch
 # point IS gated: patch_identical must hold and patch_s must beat
 # rebuild_s — the incremental path exists to be cheaper than a rebuild.
-# --jobs 4 exercises the threaded path even on a single-core runner.
+# --jobs 4 exercises the threaded path even on a single-core runner. The
+# large_* point times fault simulation of s5378 x 256 random patterns
+# (median/min/max of 5 trials); it gates identity and shape, not speed.
 cargo run --offline --release -p sdd-bench --bin build_bench -- \
     --circuit s953 --calls1 3 --jobs 4 --out BENCH_build.json
 cargo run --offline --release -p sdd-bench --bin build_bench -- --check BENCH_build.json
+
+step "perfbench self-tests (repository benchmark output checks)"
+# perfbench drives the simulator, build, patch, serve and volume layers
+# through their public entry points; its self-tests check that a seed fixes
+# the inputs and that a held-out seed passes every output check.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 step "volume bench (devices/s serial vs parallel + corruption sweep, JSON)"
 # BENCH_volume.json carries the determinism claim (jobs=1 == jobs=N bytes)

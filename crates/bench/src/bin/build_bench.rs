@@ -51,6 +51,19 @@
 //! under the patched baselines, modulo the patch-generation header field.
 //! The `--check` gate requires `patch_s < rebuild_s` — the point of the
 //! patch path is that it is cheaper than the rebuild it replaces.
+//!
+//! The main circuit's diagnostic test set is often a single 64-test pattern
+//! block (s953: 48 tests), and fault simulation runs one worker per block,
+//! so its `simulate_speedup` reads about 1.0x. A `large_*` point therefore
+//! times the stage at a realistic size: an s5378-shaped circuit (generator
+//! seed 1) under 256 random patterns (pattern seed 1), `LARGE_TRIALS`
+//! trials each at `jobs=1` and `jobs=N`, reported as median/min/max
+//! (`large_simulate_s_jobs1_median`, ...), next to `large_faults`,
+//! `large_ffr_roots` (fanout-free-region roots: the stem propagations a
+//! block shares among its faults), `large_blocks`, and
+//! `large_simulate_workers = min(jobs_effective, large_blocks)`.
+//! `large_identical` is the matrix identity claim at that size; the gate
+//! checks it and the shape of the point, never the speedup.
 
 use std::time::Instant;
 
@@ -83,7 +96,25 @@ const NUMERIC_KEYS: &[&str] = &[
     "patch_s",
     "rebuild_s",
     "patch_touched_tests",
+    "large_patterns",
+    "large_faults",
+    "large_ffr_roots",
+    "large_blocks",
+    "large_simulate_workers",
+    "large_trials",
+    "large_simulate_s_jobs1_median",
+    "large_simulate_s_jobs1_min",
+    "large_simulate_s_jobs1_max",
+    "large_simulate_s_jobsn_median",
+    "large_simulate_s_jobsn_min",
+    "large_simulate_s_jobsn_max",
+    "large_simulate_speedup",
 ];
+
+/// The large simulate point: circuit profile, random patterns, trials.
+const LARGE_CIRCUIT: &str = "s5378";
+const LARGE_PATTERNS: usize = 256;
+const LARGE_TRIALS: usize = 5;
 
 fn main() {
     let mut circuit = "s1423".to_owned();
@@ -217,6 +248,8 @@ fn run(circuit: &str, ttype: TestSetType, seed: u64, calls1: usize, jobs: usize)
     let (patch_s, rebuild_s, patch_touched_tests, patch_identical) =
         patch_bench(&exp, &tests.tests, &bytes, calls1, seed, jobs);
 
+    let large = large_simulate_point(jobs);
+
     // `jobs_effective` is the honesty field: `--jobs 4` on a single-core
     // runner still exercises the threaded path, but only
     // min(jobs, available_parallelism) threads can actually run — readers
@@ -233,7 +266,7 @@ fn run(circuit: &str, ttype: TestSetType, seed: u64, calls1: usize, jobs: usize)
          \"shards\":{},\"unsharded_cold_s\":{:.6},\"sharded_cold_s\":{:.6},\
          \"shard_identical\":{},\
          \"patch_s\":{:.6},\"rebuild_s\":{:.6},\"patch_touched_tests\":{},\
-         \"patch_identical\":{},\"identical\":{}}}",
+         \"patch_identical\":{},{},\"identical\":{}}}",
         circuit,
         ttype,
         seed,
@@ -259,8 +292,67 @@ fn run(circuit: &str, ttype: TestSetType, seed: u64, calls1: usize, jobs: usize)
         rebuild_s,
         patch_touched_tests,
         patch_identical,
+        large,
         identical,
     )
+}
+
+/// Times fault simulation of the large synthetic at `jobs=1` and `jobs`,
+/// `LARGE_TRIALS` times each, and renders the `large_*` report fields.
+fn large_simulate_point(jobs: usize) -> String {
+    let exp = Experiment::iscas89(LARGE_CIRCUIT, 1).expect("known profile");
+    let width = exp.view().inputs().len();
+    let tests = sdd_atpg::random_patterns(
+        width,
+        LARGE_PATTERNS,
+        &mut sdd_logic::Prng::seed_from_u64(1),
+    );
+    let blocks = tests.len().div_ceil(sdd_logic::LANES);
+    let roots = sdd_sim::Engine::new(exp.circuit(), exp.view()).root_count();
+
+    let mut identical = true;
+    let mut jobs1 = Vec::with_capacity(LARGE_TRIALS);
+    let mut jobsn = Vec::with_capacity(LARGE_TRIALS);
+    for _ in 0..LARGE_TRIALS {
+        let start = Instant::now();
+        let matrix = exp.simulate_jobs(&tests, 1);
+        jobs1.push(start.elapsed().as_secs_f64());
+        let start = Instant::now();
+        let parallel = exp.simulate_jobs(&tests, jobs);
+        jobsn.push(start.elapsed().as_secs_f64());
+        identical &= parallel == matrix;
+    }
+    let (jobs1, jobsn) = (spread(jobs1), spread(jobsn));
+    format!(
+        "\"large_circuit\":\"{LARGE_CIRCUIT}\",\"large_patterns\":{},\"large_faults\":{},\
+         \"large_ffr_roots\":{roots},\"large_blocks\":{blocks},\"large_simulate_workers\":{},\
+         \"large_trials\":{LARGE_TRIALS},\
+         \"large_simulate_s_jobs1_median\":{:.4},\"large_simulate_s_jobs1_min\":{:.4},\
+         \"large_simulate_s_jobs1_max\":{:.4},\
+         \"large_simulate_s_jobsn_median\":{:.4},\"large_simulate_s_jobsn_min\":{:.4},\
+         \"large_simulate_s_jobsn_max\":{:.4},\
+         \"large_simulate_speedup\":{:.2},\"large_identical\":{identical}",
+        tests.len(),
+        exp.faults().len(),
+        jobs.min(sdd_sim::available_jobs()).min(blocks),
+        jobs1[0],
+        jobs1[1],
+        jobs1[2],
+        jobsn[0],
+        jobsn[1],
+        jobsn[2],
+        jobs1[0] / jobsn[0].max(1e-9),
+    )
+}
+
+/// `[median, min, max]` of a non-empty sample.
+fn spread(mut samples: Vec<f64>) -> [f64; 3] {
+    samples.sort_by(f64::total_cmp);
+    [
+        samples[samples.len() / 2],
+        samples[0],
+        samples[samples.len() - 1],
+    ]
 }
 
 /// Finds a patch-compatible rewire ECO: a gate pin fed by a fan-out-≥3 net,
@@ -482,11 +574,30 @@ fn check(path: &str) -> Result<(), String> {
         Some(value) if value.starts_with('"') && value.len() > 2 => {}
         _ => return Err("missing or empty key \"circuit\"".to_owned()),
     }
-    for claim in ["shard_identical", "patch_identical", "identical"] {
+    for claim in [
+        "shard_identical",
+        "patch_identical",
+        "large_identical",
+        "identical",
+    ] {
         match field(body, claim) {
             Some("true") => {}
             Some(value) => return Err(format!("{claim:?} is {value}, expected true")),
             None => return Err(format!("missing key {claim:?}")),
+        }
+    }
+    // The large point's spreads must be ordered: min <= median <= max.
+    for stage in ["large_simulate_s_jobs1", "large_simulate_s_jobsn"] {
+        let value = |stat: &str| -> f64 {
+            field(body, &format!("{stage}_{stat}"))
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(f64::NAN)
+        };
+        let (min, median, max) = (value("min"), value("median"), value("max"));
+        if !(min <= median && median <= max) {
+            return Err(format!(
+                "{stage}: min {min}, median {median}, max {max} are not ordered"
+            ));
         }
     }
     // The patch path exists to beat the rebuild it replaces; a report where

@@ -1,5 +1,15 @@
 //! The production simulator: compiled fault-free evaluation plus
-//! event-driven parallel-pattern single-fault propagation (PPSFP).
+//! shared-stem parallel-pattern single-fault propagation (PPSFP).
+//!
+//! A fault's effect first travels the unique gate chain of its fanout-free
+//! region (FFR) to the region's root: a net that is observed or whose gate
+//! fan-out is not exactly one. Beyond the root the faulty circuit differs
+//! from the fault-free one only through the root's value, and pattern lanes
+//! are independent, so the fault's output diffs are the root's *stem-flip*
+//! diffs (the root inverted in every live lane, propagated event-driven)
+//! masked to the lanes where the fault reaches the root. Stem flips are
+//! computed once per root per loaded block and shared by every fault of the
+//! region.
 
 use sdd_fault::{Fault, FaultSite};
 use sdd_logic::{BitVec, PatternBlock};
@@ -40,7 +50,9 @@ impl FaultEffect {
 /// Typical use: [`load_block`](Engine::load_block) a [`PatternBlock`] of up
 /// to 64 tests, then call [`run_fault`](Engine::run_fault) for each fault of
 /// interest. The engine keeps all scratch state internally, so a single
-/// engine amortizes allocations across millions of fault passes.
+/// engine amortizes allocations across millions of fault passes, and it
+/// caches each fanout-free region's stem flip for the loaded block, so the
+/// faults of one region share a single downstream propagation.
 ///
 /// # Example
 ///
@@ -66,6 +78,9 @@ pub struct Engine<'a> {
     view: &'a CombView,
     /// Gate nets consuming each net (sinks to re-evaluate on change).
     fanout_gates: Vec<Vec<NetId>>,
+    /// For a net inside a fanout-free region, the `(gate, pin)` it feeds;
+    /// `None` for a region root (observed, or gate fan-out other than 1).
+    chain: Vec<Option<(NetId, usize)>>,
     good: Vec<u64>,
     value: Vec<u64>,
     lane_mask: u64,
@@ -73,25 +88,51 @@ pub struct Engine<'a> {
     buckets: Vec<Vec<NetId>>,
     queued: Vec<bool>,
     touched: Vec<NetId>,
-    loaded: bool,
+    /// Per net: the stem-flip effect, valid when its epoch matches.
+    stems: Vec<StemFlip>,
+    /// Bumped by every [`load_block`](Self::load_block); 0 = none loaded.
+    epoch: u64,
+}
+
+/// The output diffs of one root inverted in every live lane of a block.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct StemFlip {
+    epoch: u64,
+    /// OR of the diff words: the lanes in which the flip is observed.
+    pub(crate) detect: u64,
+    /// `(output position, diff word)` for every output the flip reaches,
+    /// in ascending output order.
+    pub(crate) output_diffs: Vec<(u32, u64)>,
 }
 
 impl<'a> Engine<'a> {
     /// Creates an engine for `circuit` as seen through `view`.
     pub fn new(circuit: &'a Circuit, view: &'a CombView) -> Self {
         let mut fanout_gates = vec![Vec::new(); circuit.net_count()];
+        let mut chain = vec![None; circuit.net_count()];
         for net in circuit.nets() {
             if let Driver::Gate { inputs, .. } = circuit.driver(net) {
-                for &source in inputs {
+                for (pin, &source) in inputs.iter().enumerate() {
                     fanout_gates[source.index()].push(net);
+                    chain[source.index()] = Some((net, pin));
                 }
             }
+        }
+        // A net feeding two pins (of one gate or two) lists that many sinks.
+        for (link, sinks) in chain.iter_mut().zip(&fanout_gates) {
+            if sinks.len() != 1 {
+                *link = None;
+            }
+        }
+        for &output in view.outputs() {
+            chain[output.index()] = None;
         }
         let depth = view.depth() as usize;
         Self {
             circuit,
             view,
             fanout_gates,
+            chain,
             good: vec![0; circuit.net_count()],
             value: vec![0; circuit.net_count()],
             lane_mask: 0,
@@ -99,7 +140,8 @@ impl<'a> Engine<'a> {
             buckets: vec![Vec::new(); depth + 1],
             queued: vec![false; circuit.net_count()],
             touched: Vec::new(),
-            loaded: false,
+            stems: vec![StemFlip::default(); circuit.net_count()],
+            epoch: 0,
         }
     }
 
@@ -125,16 +167,21 @@ impl<'a> Engine<'a> {
                         .expect("sources are view inputs");
                     block.input_word(pos)
                 }
-                Driver::Gate { kind, inputs } => {
-                    eval_words(*kind, inputs.iter().map(|&i| self.good[i.index()]))
-                }
+                Driver::Gate { .. } => self.eval_gate(net, &self.good, None),
             };
             self.good[net.index()] = word;
         }
         self.value.copy_from_slice(&self.good);
         self.lane_mask = block.lane_mask();
         self.pattern_count = block.pattern_count();
-        self.loaded = true;
+        self.epoch += 1;
+    }
+
+    /// Number of fanout-free-region roots: nets that are observed or whose
+    /// gate fan-out is not exactly one. A block propagates at most this many
+    /// stem flips, however many faults it simulates.
+    pub fn root_count(&self) -> usize {
+        self.chain.iter().filter(|link| link.is_none()).count()
     }
 
     /// Number of patterns in the loaded block.
@@ -153,7 +200,7 @@ impl<'a> Engine<'a> {
     ///
     /// Panics if no block is loaded or `lane` exceeds the pattern count.
     pub fn good_response(&self, lane: usize) -> BitVec {
-        assert!(self.loaded, "no block loaded");
+        assert!(self.epoch != 0, "no block loaded");
         assert!(lane < self.pattern_count, "lane {lane} out of range");
         self.view
             .outputs()
@@ -169,68 +216,108 @@ impl<'a> Engine<'a> {
     ///
     /// Panics if no block is loaded.
     pub fn run_fault(&mut self, fault: Fault) -> FaultEffect {
-        assert!(self.loaded, "no block loaded");
-        let forced = if fault.stuck_at { u64::MAX } else { 0 };
-
-        match fault.site {
-            FaultSite::Stem(net) => {
-                if self.value[net.index()] != forced {
-                    self.value[net.index()] = forced;
-                    self.touched.push(net);
-                    self.schedule_sinks(net);
-                }
-            }
-            FaultSite::Branch { gate, pin } => {
-                let new = self.eval_gate(gate, Some((pin as usize, forced)));
-                if new != self.value[gate.index()] {
-                    self.value[gate.index()] = new;
-                    self.touched.push(gate);
-                    self.schedule_sinks(gate);
-                }
-            }
+        let (root, reach) = self.root_difference(fault);
+        if reach == 0 {
+            return FaultEffect {
+                detect: 0,
+                output_diffs: Vec::new(),
+            };
         }
-
-        // Event-driven propagation: levels settle in ascending order.
-        for level in 0..self.buckets.len() {
-            while let Some(net) = self.buckets[level].pop() {
-                self.queued[net.index()] = false;
-                let new = self.eval_gate(net, None);
-                if new != self.value[net.index()] {
-                    if self.value[net.index()] == self.good[net.index()] {
-                        self.touched.push(net);
-                    }
-                    self.value[net.index()] = new;
-                    self.schedule_sinks(net);
-                }
-            }
-        }
-
-        // Harvest output differences.
-        let mut detect = 0u64;
-        let mut output_diffs = Vec::new();
-        for (pos, &o) in self.view.outputs().iter().enumerate() {
-            let diff = (self.value[o.index()] ^ self.good[o.index()]) & self.lane_mask;
-            if diff != 0 {
-                detect |= diff;
-                output_diffs.push((pos as u32, diff));
-            }
-        }
-
-        // Undo for the next fault.
-        for net in self.touched.drain(..) {
-            self.value[net.index()] = self.good[net.index()];
-        }
-
+        let stem = self.stem_flip(root);
         FaultEffect {
-            detect,
-            output_diffs,
+            detect: stem.detect & reach,
+            output_diffs: stem
+                .output_diffs
+                .iter()
+                .map(|&(pos, word)| (pos, word & reach))
+                .filter(|&(_, word)| word != 0)
+                .collect(),
         }
     }
 
-    /// The lanes in which `fault` is detected — a cheaper façade over
-    /// [`run_fault`](Self::run_fault) for detection-only callers like ATPG.
+    /// The lanes in which `fault` is detected — the `detect` word of
+    /// [`run_fault`](Self::run_fault) without building its diff list, for
+    /// detection-only callers like ATPG.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no block is loaded.
     pub fn detect_lanes(&mut self, fault: Fault) -> u64 {
-        self.run_fault(fault).detect
+        let (root, reach) = self.root_difference(fault);
+        if reach == 0 {
+            return 0;
+        }
+        self.stem_flip(root).detect & reach
+    }
+
+    /// Walks `fault`'s effect along its fanout-free region: returns the
+    /// region's root and the live lanes in which the root's faulty value
+    /// differs from the fault-free one. Each step is one gate evaluation
+    /// on fault-free side inputs, which no other net of the chain can reach.
+    pub(crate) fn root_difference(&self, fault: Fault) -> (NetId, u64) {
+        assert!(self.epoch != 0, "no block loaded");
+        let forced = if fault.stuck_at { u64::MAX } else { 0 };
+        let (mut net, mut diff) = match fault.site {
+            FaultSite::Stem(net) => (net, self.good[net.index()] ^ forced),
+            FaultSite::Branch { gate, pin } => (
+                gate,
+                self.eval_gate(gate, &self.good, Some((pin as usize, forced)))
+                    ^ self.good[gate.index()],
+            ),
+        };
+        diff &= self.lane_mask;
+        while diff != 0 {
+            let Some((gate, pin)) = self.chain[net.index()] else {
+                break;
+            };
+            let faulty = self.good[net.index()] ^ diff;
+            diff = self.eval_gate(gate, &self.good, Some((pin, faulty))) ^ self.good[gate.index()];
+            net = gate;
+        }
+        (net, diff)
+    }
+
+    /// The loaded block's stem flip of `root`, propagated on first use.
+    pub(crate) fn stem_flip(&mut self, root: NetId) -> &StemFlip {
+        let slot = root.index();
+        if self.stems[slot].epoch != self.epoch {
+            self.value[slot] = self.good[slot] ^ self.lane_mask;
+            self.touched.push(root);
+            self.schedule_sinks(root);
+
+            // Event-driven propagation: levels settle in ascending order.
+            for level in 0..self.buckets.len() {
+                while let Some(net) = self.buckets[level].pop() {
+                    self.queued[net.index()] = false;
+                    let new = self.eval_gate(net, &self.value, None);
+                    if new != self.value[net.index()] {
+                        if self.value[net.index()] == self.good[net.index()] {
+                            self.touched.push(net);
+                        }
+                        self.value[net.index()] = new;
+                        self.schedule_sinks(net);
+                    }
+                }
+            }
+
+            let stem = &mut self.stems[slot];
+            stem.epoch = self.epoch;
+            stem.detect = 0;
+            stem.output_diffs.clear();
+            for (pos, &o) in self.view.outputs().iter().enumerate() {
+                let diff = (self.value[o.index()] ^ self.good[o.index()]) & self.lane_mask;
+                if diff != 0 {
+                    stem.detect |= diff;
+                    stem.output_diffs.push((pos as u32, diff));
+                }
+            }
+
+            // Undo for the next root.
+            for net in self.touched.drain(..) {
+                self.value[net.index()] = self.good[net.index()];
+            }
+        }
+        &self.stems[slot]
     }
 
     fn schedule_sinks(&mut self, net: NetId) {
@@ -245,7 +332,9 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn eval_gate(&self, net: NetId, force_pin: Option<(usize, u64)>) -> u64 {
+    /// Evaluates gate `net` over `words`, with input pin `force_pin.0`
+    /// reading `force_pin.1` instead when given.
+    fn eval_gate(&self, net: NetId, words: &[u64], force_pin: Option<(usize, u64)>) -> u64 {
         match self.circuit.driver(net) {
             Driver::Gate { kind, inputs } => eval_words(
                 *kind,
@@ -254,12 +343,12 @@ impl<'a> Engine<'a> {
                     .enumerate()
                     .map(|(pin, &source)| match force_pin {
                         Some((fp, word)) if fp == pin => word,
-                        _ => self.value[source.index()],
+                        _ => words[source.index()],
                     }),
             ),
             // Inputs and flip-flop outputs never self-evaluate; a branch
             // fault can only sit on a gate.
-            _ => self.value[net.index()],
+            _ => words[net.index()],
         }
     }
 }

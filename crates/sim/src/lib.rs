@@ -6,14 +6,19 @@
 //!   simulator used as ground truth in tests and for one-off faulty
 //!   responses during diagnosis.
 //! * [`Engine`] — the production simulator: levelized compiled fault-free
-//!   simulation plus event-driven **parallel-pattern single-fault
+//!   simulation plus shared-stem **parallel-pattern single-fault
 //!   propagation** (PPSFP, 64 patterns per machine word), the workhorse
-//!   behind every experiment in the workspace.
+//!   behind every experiment in the workspace. A fault is walked along its
+//!   fanout-free region to the region's root; the root's stem flip is
+//!   propagated event-driven once per pattern block and shared by every
+//!   fault of the region.
 //! * [`ResponseMatrix`] — the distilled result dictionaries need: for every
 //!   test, the partition of faults into *response classes* (faults with
 //!   identical output vectors), with class 0 always the fault-free response.
 //!   This is information-lossless for every dictionary-resolution question
-//!   while using `O(k·n)` words instead of `O(k·n·m)` bits.
+//!   while using `O(k·n)` words instead of `O(k·n·m)` bits. It is built one
+//!   pattern block per worker, so the result is identical for any worker
+//!   count.
 //!
 //! # Example
 //!

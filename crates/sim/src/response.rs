@@ -7,20 +7,9 @@ use std::sync::Mutex;
 
 use sdd_fault::{FaultId, FaultUniverse};
 use sdd_logic::{BitVec, PatternBlock, LANES};
-use sdd_netlist::{Circuit, CombView};
+use sdd_netlist::{Circuit, CombView, NetId};
 
 use crate::Engine;
-
-/// Smallest fault chunk worth shipping to a worker thread: below this the
-/// per-chunk fixed costs (a fresh [`Engine`], a redundant fault-free pass
-/// per pattern block, the label remap on merge) rival the fault simulation
-/// itself.
-const MIN_CHUNK_FAULTS: usize = 32;
-
-/// Chunks per worker. More than one lets fast workers steal the slack of
-/// slow chunks (fault cost varies wildly with cone size) without shrinking
-/// chunks so far the fixed costs dominate.
-const CHUNKS_PER_JOB: usize = 4;
 
 /// For every test and every fault, *which* output vector the faulty circuit
 /// produces — encoded as a small per-test class label rather than the vector
@@ -64,7 +53,8 @@ pub struct ResponseMatrix {
 
 impl ResponseMatrix {
     /// Fault-simulates `faults` (given as ids into `universe`) against
-    /// `tests` and builds the class matrix.
+    /// `tests` and builds the class matrix: [`simulate_jobs`](Self::simulate_jobs)
+    /// with one worker.
     ///
     /// # Panics
     ///
@@ -76,76 +66,20 @@ impl ResponseMatrix {
         faults: &[FaultId],
         tests: &[BitVec],
     ) -> Self {
-        let width = view.inputs().len();
-        let fault_count = faults.len();
-        let mut class = vec![0u32; tests.len() * fault_count];
-        let mut distinct: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new()]; tests.len()];
-        let mut interner: Vec<HashMap<Vec<u32>, u32>> =
-            (0..tests.len()).map(|_| HashMap::new()).collect();
-        let mut good = Vec::with_capacity(tests.len());
-
-        let mut engine = Engine::new(circuit, view);
-        let mut lane_diffs: Vec<Vec<u32>> = (0..LANES).map(|_| Vec::new()).collect();
-
-        for (block_index, chunk) in tests.chunks(LANES).enumerate() {
-            let base = block_index * LANES;
-            engine.load_block(&PatternBlock::from_patterns(width, chunk));
-            for lane in 0..chunk.len() {
-                good.push(engine.good_response(lane));
-            }
-            for (fault_pos, &fault_id) in faults.iter().enumerate() {
-                let effect = engine.run_fault(universe.fault(fault_id));
-                if effect.detect == 0 {
-                    continue; // all lanes stay class 0
-                }
-                for diffs in &mut lane_diffs[..chunk.len()] {
-                    diffs.clear();
-                }
-                for &(pos, word) in &effect.output_diffs {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let lane = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        lane_diffs[lane].push(pos);
-                    }
-                }
-                for (lane, diffs) in lane_diffs[..chunk.len()].iter().enumerate() {
-                    if diffs.is_empty() {
-                        continue;
-                    }
-                    let test = base + lane;
-                    let next = distinct[test].len() as u32;
-                    let label = *interner[test].entry(diffs.clone()).or_insert_with(|| {
-                        distinct[test].push(diffs.clone());
-                        next
-                    });
-                    class[test * fault_count + fault_pos] = label;
-                }
-            }
-        }
-
-        Self {
-            fault_count,
-            output_count: view.outputs().len(),
-            class,
-            distinct,
-            good,
-        }
+        Self::simulate_jobs(circuit, view, universe, faults, tests, 1)
     }
 
-    /// [`simulate`](Self::simulate) fanned out over `jobs` worker threads.
+    /// Fault-simulates `faults` against `tests` with up to `jobs` worker
+    /// threads, one per [`LANES`]-test pattern block at a time.
     ///
-    /// The fault list is split into contiguous chunks; each worker owns a
-    /// private [`Engine`] (and its pattern-block scratch) and simulates whole
-    /// chunks, pulling the next chunk index from a shared counter. Chunk
-    /// results are then merged **in fault order**, re-interning each test's
-    /// distinct output vectors in the order the serial scan would first meet
-    /// them — so the result is identical (`==`, and byte-identical once
-    /// stored) to the serial matrix for any `jobs`, and scheduling order
-    /// cannot leak into class labels.
-    ///
-    /// `jobs == 1`, an empty fault list, or a fault list too small to cover
-    /// two chunks all fall back to the serial path.
+    /// Class labels are interned per test, so a block's rows are final as
+    /// soon as the block is simulated. Each worker owns one [`Engine`],
+    /// pulls the next block index from a shared counter, and simulates every
+    /// fault against it, so each fanout-free region's stem is propagated once
+    /// per block. The blocks are then concatenated in block order: the result
+    /// is identical (`==`, and byte-identical once stored) for any `jobs`.
+    /// At most one worker per block runs, so a test set of one block is
+    /// simulated serially whatever `jobs` is.
     ///
     /// # Panics
     ///
@@ -177,82 +111,104 @@ impl ResponseMatrix {
         tests: &[BitVec],
         jobs: usize,
     ) -> Self {
-        let jobs = jobs.max(1);
-        let chunk = faults
-            .len()
-            .div_ceil(jobs * CHUNKS_PER_JOB)
-            .max(MIN_CHUNK_FAULTS);
-        if jobs == 1 || faults.len() <= chunk {
-            return Self::simulate(circuit, view, universe, faults, tests);
+        let blocks: Vec<&[BitVec]> = tests.chunks(LANES).collect();
+        let next = AtomicUsize::new(0);
+        let parts: Mutex<Vec<(usize, Self)>> = Mutex::new(Vec::with_capacity(blocks.len()));
+        let work = || {
+            let mut engine = Engine::new(circuit, view);
+            loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some(block) = blocks.get(index) else {
+                    break;
+                };
+                let part = Self::simulate_block(&mut engine, view, universe, faults, block);
+                parts.lock().expect("block result lock").push((index, part));
+            }
+        };
+        let workers = jobs.min(blocks.len());
+        if workers <= 1 {
+            work();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(work);
+                }
+            });
         }
 
-        let chunks: Vec<&[FaultId]> = faults.chunks(chunk).collect();
-        let next = AtomicUsize::new(0);
-        let parts: Mutex<Vec<(usize, Self)>> = Mutex::new(Vec::with_capacity(chunks.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..jobs.min(chunks.len()) {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(chunk_faults) = chunks.get(index) else {
-                        break;
-                    };
-                    let part = Self::simulate(circuit, view, universe, chunk_faults, tests);
-                    parts.lock().expect("chunk result lock").push((index, part));
-                });
-            }
-        });
-        let mut parts = parts.into_inner().expect("chunk result lock");
+        let mut parts = parts.into_inner().expect("block result lock");
         parts.sort_unstable_by_key(|&(index, _)| index);
-        Self::merge_fault_chunks(parts.into_iter().map(|(_, part)| part), view, tests.len())
+        let mut matrix = Self {
+            fault_count: faults.len(),
+            output_count: view.outputs().len(),
+            class: Vec::with_capacity(tests.len() * faults.len()),
+            distinct: Vec::with_capacity(tests.len()),
+            good: Vec::with_capacity(tests.len()),
+        };
+        for (_, part) in parts {
+            matrix.class.extend(part.class);
+            matrix.distinct.extend(part.distinct);
+            matrix.good.extend(part.good);
+        }
+        matrix
     }
 
-    /// Concatenates per-chunk matrices (contiguous fault ranges of one fault
-    /// list, same tests) back into one matrix, re-interning class labels per
-    /// test in chunk-then-fault order — exactly the first-occurrence order of
-    /// the serial scan.
-    fn merge_fault_chunks(
-        parts: impl Iterator<Item = Self>,
+    /// The matrix of one pattern block (at most [`LANES`] tests).
+    ///
+    /// A fault that reaches its fanout-free region's root in a lane produces
+    /// the root's stem-flip output vector there, so each `(root, lane)` is
+    /// interned once, when the first fault (in fault order) reaches it — the
+    /// label the per-fault scan would assign.
+    fn simulate_block(
+        engine: &mut Engine<'_>,
         view: &CombView,
-        tests: usize,
+        universe: &FaultUniverse,
+        faults: &[FaultId],
+        tests: &[BitVec],
     ) -> Self {
-        let mut fault_count = 0;
-        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); tests];
-        let mut distinct: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new()]; tests];
-        let mut interner: Vec<HashMap<Vec<u32>, u32>> =
-            (0..tests).map(|_| HashMap::new()).collect();
-        let mut good: Option<Vec<BitVec>> = None;
-        let mut remap: Vec<u32> = Vec::new();
+        let fault_count = faults.len();
+        let mut class = vec![0u32; tests.len() * fault_count];
+        let mut distinct: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new()]; tests.len()];
+        let mut interner: Vec<HashMap<Vec<u32>, u32>> = vec![HashMap::new(); tests.len()];
+        // Per root: its stem flip's class label in each lane, 0 until
+        // interned (a detected lane is never class 0).
+        let mut root_labels: HashMap<NetId, [u32; LANES]> = HashMap::new();
+        let mut diffs: Vec<u32> = Vec::new();
 
-        for part in parts {
-            debug_assert_eq!(part.test_count(), tests, "chunks share one test set");
-            fault_count += part.fault_count;
-            // Every chunk simulated the same fault-free responses; keep the
-            // first copy.
-            good.get_or_insert(part.good);
-            for test in 0..tests {
-                remap.clear();
-                remap.push(0); // class 0 is fault-free in every chunk
-                for diffs in &part.distinct[test][1..] {
-                    let fresh = distinct[test].len() as u32;
-                    let label = *interner[test].entry(diffs.clone()).or_insert_with(|| {
-                        distinct[test].push(diffs.clone());
-                        fresh
-                    });
-                    remap.push(label);
+        engine.load_block(&PatternBlock::from_patterns(view.inputs().len(), tests));
+        let good = (0..tests.len())
+            .map(|lane| engine.good_response(lane))
+            .collect();
+        for (fault_pos, &fault_id) in faults.iter().enumerate() {
+            let (root, reach) = engine.root_difference(universe.fault(fault_id));
+            if reach == 0 {
+                continue;
+            }
+            let stem = engine.stem_flip(root);
+            let labels = root_labels.entry(root).or_insert([0; LANES]);
+            let lanes = stem.detect & reach;
+            for lane in (0..tests.len()).filter(|&lane| lanes >> lane & 1 == 1) {
+                if labels[lane] == 0 {
+                    diffs.clear();
+                    diffs.extend(
+                        stem.output_diffs
+                            .iter()
+                            .filter(|&&(_, word)| word >> lane & 1 == 1)
+                            .map(|&(pos, _)| pos),
+                    );
+                    labels[lane] = intern(&mut interner[lane], &mut distinct[lane], &diffs);
                 }
-                let row = &part.class[test * part.fault_count..(test + 1) * part.fault_count];
-                rows[test].extend(row.iter().map(|&label| remap[label as usize]));
+                class[lane * fault_count + fault_pos] = labels[lane];
             }
         }
 
-        Self::from_class_parts(
-            good.unwrap_or_default(),
+        Self {
             fault_count,
-            view.outputs().len(),
-            rows.concat(),
+            output_count: view.outputs().len(),
+            class,
             distinct,
-        )
-        .expect("chunk merge preserves matrix invariants")
+            good,
+        }
     }
 
     /// Builds a matrix from explicit responses instead of simulation: one
@@ -297,15 +253,10 @@ impl ResponseMatrix {
                     .filter(|&o| response.bit(o) != good[test].bit(o))
                     .map(|o| o as u32)
                     .collect();
-                if diff.is_empty() {
-                    continue;
+                if !diff.is_empty() {
+                    class[test * fault_count + fault] =
+                        intern(&mut interner, &mut distinct[test], &diff);
                 }
-                let next = distinct[test].len() as u32;
-                class[test * fault_count + fault] =
-                    *interner.entry(diff.clone()).or_insert_with(|| {
-                        distinct[test].push(diff.clone());
-                        next
-                    });
             }
         }
         Self {
@@ -485,6 +436,18 @@ impl ResponseMatrix {
             .map(|(i, _)| i)
             .collect()
     }
+}
+
+/// The class label of the nonempty diff list `diffs` under one test: the
+/// label it already has, or the next fresh one, appended to `table`.
+fn intern(interner: &mut HashMap<Vec<u32>, u32>, table: &mut Vec<Vec<u32>>, diffs: &[u32]) -> u32 {
+    if let Some(&label) = interner.get(diffs) {
+        return label;
+    }
+    let label = table.len() as u32;
+    table.push(diffs.to_vec());
+    interner.insert(diffs.to_vec(), label);
+    label
 }
 
 #[cfg(test)]
@@ -690,8 +653,8 @@ mod tests {
 
     #[test]
     fn parallel_simulation_equals_serial_for_any_jobs() {
-        // s298 has enough collapsed faults to split into several chunks, so
-        // the merge path (not the small-work fallback) is what's tested.
+        // 70 tests are two pattern blocks, so two workers run and the
+        // block concatenation (not the one-block serial case) is tested.
         let c = generator_circuit();
         let view = CombView::new(&c);
         let universe = FaultUniverse::enumerate(&c);

@@ -34,6 +34,9 @@
 //! the patch-generation counter in the header) to rebuilding the modified
 //! netlist from scratch with the same baselines.
 //!
+//! `--jobs` defaults to every hardware thread for `dictionary`, `patch` and
+//! `volume`; their output is identical for every value.
+//!
 //! Test files hold one input pattern per line (`0`/`1` characters, one per
 //! view input: primary inputs then flip-flop pseudo-inputs). Observation
 //! files hold one output response per line (primary outputs then flip-flop
@@ -551,7 +554,7 @@ fn cmd_patch(args: &[String]) -> Result<(), String> {
     let tests = load_patterns(&tests_path, width, "test pattern")?;
     let jobs = match jobs {
         Some(v) => v.parse().map_err(|e| format!("--jobs: {e}"))?,
-        None => 1,
+        None => same_different::sim::available_jobs(),
     };
     let mut budget = same_different::dict::Budget::unlimited();
     if let Some(v) = budget_passes {
